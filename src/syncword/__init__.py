@@ -11,7 +11,7 @@ from .automaton import (Dfa, Word, KARI_WORD, ROMAN_WORD, apply,
                         is_strongly_connected, kari_automaton, mask_of,
                         parse_dfa, roman_automaton, serialize_dfa, states_of,
                         word_from_str, word_to_str)
-from .errors import CapacityError, DfaError, DfaParseError
+from .errors import CapacityError, CheckFailure, DfaError, DfaParseError
 from .word_matrix import (WordMatrix, dense, identity, is_reset_matrix,
                           matrix_of_word, multiply, nonzero_columns, rank,
                           render)

@@ -320,4 +320,10 @@ def dfa_from_json(text: str) -> Dfa:
         n, k, delta = obj["n"], obj["k"], obj["delta"]
     except (TypeError, KeyError):
         raise DfaParseError("JSON object must have keys n, k, delta") from None
-    return Dfa(int(n), int(k), tuple(tuple(int(t) for t in row) for row in delta))
+    if not isinstance(delta, list) or not all(isinstance(row, list) for row in delta):
+        raise DfaParseError("delta must be a list of lists of integers")
+    for value in (n, k, *(t for row in delta for t in row)):
+        # bool is an int subclass; floats such as 1.7 must not be truncated
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DfaParseError(f"expected an integer, got {json.dumps(value)}")
+    return Dfa(n, k, tuple(tuple(row) for row in delta))

@@ -7,6 +7,7 @@ is not synchronizing, or a verification check failed), 3 capacity exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 from . import enumeration, series, sync
 from .automaton import (BUILTIN_NAMES, Dfa, builtin_automaton, dfa_from_json,
                         parse_dfa, serialize_dfa, word_from_str, word_to_str)
-from .errors import CapacityError, DfaError, DfaParseError
+from .errors import CapacityError, CheckFailure, DfaError, DfaParseError
 from .word_matrix import matrix_of_word, render
 
 EXIT_OK = 0
@@ -107,13 +108,13 @@ def cmd_reset_word(args) -> int:
         try:
             near = sync.near_sync_suffixes(dfa, result.word, result.target)
             checks.append(("near-sync-suffixes", len(near) <= dfa.n))
-        except AssertionError:
+        except CheckFailure:
             checks.append(("near-sync-suffixes", False))
         dims_ok = True
         for i in range(1, dfa.n):
             try:
                 series.suffix_space_dimension(ctx, result.word, i)
-            except AssertionError:
+            except CheckFailure:
                 dims_ok = False
         checks.append(("suffix-space-bound", dims_ok))
         # collapse implication over every split s = t.v of the found word
@@ -291,8 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _cached_parser() -> argparse.ArgumentParser:
+    # parse_args never mutates the parser, so one instance serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _cached_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

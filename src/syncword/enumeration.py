@@ -9,6 +9,7 @@ order, making reports byte-identical for any worker count.
 from __future__ import annotations
 
 import json
+import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from . import linspace, series, sync
 from .automaton import (Dfa, Word, cerny_automaton, cerny_word, image,
                         kari_automaton, KARI_WORD, roman_automaton,
                         ROMAN_WORD, word_to_str)
-from .errors import CapacityError, DfaError
+from .errors import CapacityError, CheckFailure, DfaError
 from .word_matrix import (identity, matrix_of_word, matrices_of_letters,
                           multiply, nonzero_columns, rank)
 
@@ -264,12 +265,12 @@ def extremal_scan(cfg: ScanConfig) -> ScanReport:
 
     Deterministic for a given (n, k, filters) regardless of worker_count:
     chunks are merged in index order and witnesses are reported as a sorted
-    set of canonical tables.
+    set of canonical tables.  At most os.cpu_count() workers are started.
     """
     cfg.check_guard()
     n, k = cfg.n, cfg.k
     count = cfg.table_count
-    workers = min(cfg.worker_count, count) or 1
+    workers = min(cfg.worker_count, count, os.cpu_count() or 1)
     bounds = [count * i // workers for i in range(workers + 1)]
     tasks = [(n, k, cfg.require_strongly_connected, cfg.canonicalize,
               bounds[i], bounds[i + 1]) for i in range(workers)]
@@ -485,7 +486,7 @@ def verify_automaton(dfa: Dfa, name: str = "dfa",
     for i in range(1, n):
         try:
             dims.append(series.suffix_space_dimension(ctx, s_min, i))
-        except AssertionError as e:
+        except CheckFailure as e:
             check("suffix-space-bound", False, f"i={i}: {e}")
             break
     else:
@@ -497,7 +498,7 @@ def verify_automaton(dfa: Dfa, name: str = "dfa",
     try:
         near = sync.near_sync_suffixes(dfa, s_min, q)
         check("near-sync-suffixes", len(near) <= n, f"{len(near)} suffixes")
-    except AssertionError as e:
+    except CheckFailure as e:
         check("near-sync-suffixes", False, str(e))
     check("suffix-independence", suffix_closed_dimension_check(dfa, s_min))
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .automaton import Dfa, image
-from .errors import DfaError
+from .errors import CheckFailure, DfaError
 from . import linspace
 from .word_matrix import matrix_of_word
 
@@ -92,7 +92,7 @@ def suffix_space_dimension(ctx: SeriesContext, s: Sequence[int], i: int) -> int:
     Requires a singleton target, s synchronizing, and 1 <= i <= n-1.  The
     dimension never exceeds (i-1)n+1: all qualifying suffix matrices share
     the column support of the shortest of them, which has at most i nonzero
-    columns.
+    columns; a dimension above that bound raises CheckFailure.
     """
     dfa = ctx.dfa
     n = dfa.n
@@ -109,7 +109,8 @@ def suffix_space_dimension(ctx: SeriesContext, s: Sequence[int], i: int) -> int:
         if value >= n - i:
             ech.add(linspace.flatten(matrix_of_word(dfa, s[len(s) - length:])))
     dim = ech.dimension
-    assert dim <= (i - 1) * n + 1, (dim, i, n)
+    if dim > (i - 1) * n + 1:
+        raise CheckFailure((dim, i, n))
     return dim
 
 

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the library's own algorithms: reset lengths come
-from plain word enumeration, ranks from fraction-free integer elimination,
-reachability from per-state searches.
+from plain word enumeration or a frozenset search, ranks from fraction-free
+integer elimination, reachability from per-state searches.
 """
 
 from itertools import product
@@ -19,6 +19,31 @@ def brute_minimal_reset(dfa: Dfa, max_len: int):
             img = image(dfa, full, w)
             if img & (img - 1) == 0:
                 return w
+    return None
+
+
+def frozenset_minimal_reset(dfa: Dfa):
+    """Length-then-lex least reset word by a frozenset subset search, or None.
+
+    Each level maps every newly reached state set to the least word reaching
+    it; sets are expanded in order of those words, so the first word found
+    for a set is its least shortest one.
+    """
+    full = frozenset(range(dfa.n))
+    best = {full: ()}
+    level = [((), full)]
+    while level:
+        singles = [w for w, states in level if len(states) == 1]
+        if singles:
+            return min(singles)
+        nxt = []
+        for w, states in sorted(level, key=lambda pair: pair[0]):
+            for c in range(dfa.k):
+                t = frozenset(dfa.delta[c][p] for p in states)
+                if t not in best:
+                    best[t] = w + (c,)
+                    nxt.append((w + (c,), t))
+        level = nxt
     return None
 
 

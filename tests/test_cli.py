@@ -1,5 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import syncword
 from syncword import Dfa, parse_dfa
 from syncword.cli import main
 
@@ -86,6 +92,22 @@ def test_reset_word_reads_json_file(tmp_path, capsys):
     assert "length 1" in out
 
 
+@pytest.mark.parametrize("text, bad", [
+    ('{"n": "x", "k": 1, "delta": [[0]]}', '"x"'),
+    ('{"n": 2, "k": 1, "delta": 5}', "delta"),
+    ('{"n": 2, "k": 1, "delta": [[0, 1.7]]}', "1.7"),
+    ('{"n": 2, "k": true, "delta": [[0, 1]]}', "true"),
+    ('{"n": 2, "k": 1, "delta": ["01"]}', "delta"),
+])
+def test_reset_word_rejects_non_integer_json(tmp_path, capsys, text, bad):
+    path = tmp_path / "auto.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "reset-word", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error:") and bad in err
+
+
 # ---------------------------------------------------------------------------
 # profile
 
@@ -145,6 +167,21 @@ def test_verify_text_summary(capsys):
     assert "[PASS]" in out
     assert "summary:" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_verdict_survives_optimize_flag(tmp_path, flags):
+    # the near-sync completion claim fails here; -O strips asserts, not checks
+    path = tmp_path / "near.dfa"
+    path.write_text("4 2\n0 0 0 3\n0 3 3 1\n")
+    src = str(Path(syncword.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "syncword.cli", "verify", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert "[FAIL] near-sync-suffixes: no letter completes" in proc.stdout
+    assert proc.stdout.endswith("summary: 23/24 passed\n")
 
 
 # ---------------------------------------------------------------------------

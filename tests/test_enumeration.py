@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from itertools import permutations
 
 import pytest
@@ -108,6 +110,17 @@ def test_scan_deterministic_across_workers_and_runs():
     assert extremal_scan(ScanConfig(3, 2)).to_json() == base
     assert extremal_scan(ScanConfig(3, 2, worker_count=2)).to_json() == base
     assert extremal_scan(ScanConfig(3, 2, worker_count=5)).to_json() == base
+
+
+def test_scan_workers_clamped_to_cpu_count(monkeypatch):
+    base = extremal_scan(ScanConfig(3, 2)).to_json()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert extremal_scan(ScanConfig(3, 2, worker_count=10_000)).to_json() == base
 
 
 def test_scan_canonical_counts_classes_once():

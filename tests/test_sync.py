@@ -1,9 +1,11 @@
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncword import (CapacityError, Dfa, DfaError, KARI_WORD, ROMAN_WORD,
+from syncword import (CapacityError, CheckFailure, Dfa, DfaError, KARI_WORD,
+                      ROMAN_WORD,
                       WordMatrix, cerny_automaton, cerny_word, image,
                       is_irreducible, is_synchronizing, kari_automaton,
                       left_stability_check, matrix_of_word, multiply,
@@ -12,7 +14,7 @@ from syncword import (CapacityError, Dfa, DfaError, KARI_WORD, ROMAN_WORD,
                       shortest_reset_word, suffix_distinctness_check,
                       word_from_str)
 
-from oracles import brute_minimal_reset
+from oracles import brute_minimal_reset, frozenset_minimal_reset
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +73,53 @@ def test_known_minimal_words_reproduced():
     assert shortest_reset_word(kari_automaton()).word == KARI_WORD
     assert shortest_reset_word(roman_automaton()).word == ROMAN_WORD
     assert shortest_reset_word(cerny_automaton(4)).word == cerny_word(4)
+
+
+@st.composite
+def chunked_tables(draw):
+    """Tables on one, two and three byte chunks of states; some two-sink."""
+    n = draw(st.sampled_from([1, 7, 8, 9, 16, 17]))
+    k = draw(st.integers(1, 3))
+    delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+    two_sinks = n >= 2 and draw(st.booleans())
+    if two_sinks:
+        for row in delta:
+            row[0], row[1] = 0, 1
+    return Dfa(n, k, tuple(map(tuple, delta))), two_sinks
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunked_tables())
+def test_search_matches_frozenset_oracle(case):
+    d, two_sinks = case
+    expected = frozenset_minimal_reset(d)
+    result = shortest_reset_word(d)
+    if expected is None:
+        assert result is None
+        return
+    assert not two_sinks
+    assert result.word == expected
+    assert result.length == len(expected)
+    assert image(d, d.full_set, expected) == 1 << result.target
+
+
+def test_states_expanded_pinned():
+    # reported by `reset-word --json`; the search order must not drift
+    assert shortest_reset_word(cerny_automaton(16)).states_expanded == 65_519
+    assert shortest_reset_word(cerny_automaton(18)).states_expanded == 262_125
+
+
+def test_search_beyond_byte_chunks():
+    # above 24 states the three chunks widen past a byte
+    rng = Random(31)
+    d = Dfa(30, 2, tuple(tuple(rng.randrange(30) for _ in range(30))
+                         for _ in range(2)))
+    with pytest.raises(CapacityError):
+        shortest_reset_word(d)
+    result = shortest_reset_word(d, limit=30)
+    assert result.length == 12
+    assert result.word == frozenset_minimal_reset(d)
 
 
 def test_not_synchronizing_returns_none():
@@ -264,6 +313,15 @@ def test_near_sync_requires_minimal_word():
     padded = cerny_word(4)[:1] + (0, 0, 0, 0) + cerny_word(4)[1:]
     with pytest.raises(DfaError):
         near_sync_suffixes(d, padded, 1)
+
+
+def test_near_sync_completion_failure_is_raised():
+    # a 4-state counterexample to the completion postcondition (minimal word aba)
+    d = Dfa(4, 2, ((0, 0, 0, 3), (0, 3, 3, 1)))
+    r = shortest_reset_word(d)
+    assert r.word == word_from_str("aba")
+    with pytest.raises(CheckFailure, match="no letter completes"):
+        near_sync_suffixes(d, r.word, r.target)
 
 
 def test_two_state_degenerate_case():
