@@ -109,17 +109,39 @@ def apply(dfa: Dfa, p: int, w: Sequence[int]) -> int:
     return p
 
 
-def image(dfa: Dfa, P: int, w: Sequence[int]) -> int:
-    """Bitmask image { p·w : p in P }.  Never grows: |image| <= |P|."""
-    if P < 0 or P >> dfa.n:
-        raise DfaError(f"state set {bin(P)} has bits outside [0, {dfa.n})")
+def word_map(dfa: Dfa, w: Sequence[int]) -> list[int]:
+    """State map of w: entry p is p·w.  The letters are validated once."""
     w = dfa.check_word(w)
-    # advance the whole mapping once, then gather the bits of P
     f = list(range(dfa.n))
     delta = dfa.delta
     for c in w:
         row = delta[c]
         f = [row[p] for p in f]
+    return f
+
+
+def suffix_maps(dfa: Dfa, s: Sequence[int]) -> list[list[int]]:
+    """State maps of every suffix: entry j is word_map(dfa, s[j:]), j = 0..|s|.
+
+    Built right to left in O(n |s|): prefixing a letter composes its row
+    before the map of the shorter suffix.
+    """
+    s = dfa.check_word(s)
+    f = list(range(dfa.n))
+    maps = [f]
+    delta = dfa.delta
+    for c in reversed(s):
+        f = [f[t] for t in delta[c]]
+        maps.append(f)
+    maps.reverse()
+    return maps
+
+
+def image(dfa: Dfa, P: int, w: Sequence[int]) -> int:
+    """Bitmask image { p·w : p in P }.  Never grows: |image| <= |P|."""
+    if P < 0 or P >> dfa.n:
+        raise DfaError(f"state set {bin(P)} has bits outside [0, {dfa.n})")
+    f = word_map(dfa, w)
     out = 0
     for p in range(dfa.n):
         if P >> p & 1:
@@ -127,30 +149,34 @@ def image(dfa: Dfa, P: int, w: Sequence[int]) -> int:
     return out
 
 
-def is_strongly_connected(dfa: Dfa) -> bool:
-    """True iff every state reaches every other along labelled edges.
+def table_strongly_connected(flat: Sequence[int], n: int) -> bool:
+    """Strong connectivity of a letter-major flat table, flat[c*n + p] = p·c.
 
-    Double reachability sweep from state 0: forward along edges, then along
-    reversed edges; both must cover all states.
+    Double reachability sweep from state 0 over successor and predecessor
+    bitmasks: forward along edges, then along reversed edges; both must
+    cover all states.
     """
-    succ = [set() for _ in range(dfa.n)]
-    pred = [set() for _ in range(dfa.n)]
-    for row in dfa.delta:
-        for p, t in enumerate(row):
-            succ[p].add(t)
-            pred[t].add(p)
+    succ = [0] * n
+    pred = [0] * n
+    for base in range(0, len(flat), n):
+        for p in range(n):
+            t = flat[base + p]
+            succ[p] |= 1 << t
+            pred[t] |= 1 << p
     for adj in (succ, pred):
-        seen = {0}
-        stack = [0]
+        seen, stack = 1, [0]
         while stack:
-            p = stack.pop()
-            for t in adj[p]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        if len(seen) != dfa.n:
+            fresh = adj[stack.pop()] & ~seen
+            seen |= fresh
+            stack += states_of(fresh)
+        if seen != (1 << n) - 1:
             return False
     return True
+
+
+def is_strongly_connected(dfa: Dfa) -> bool:
+    """True iff every state reaches every other along labelled edges."""
+    return table_strongly_connected([t for row in dfa.delta for t in row], dfa.n)
 
 
 # ---------------------------------------------------------------------------

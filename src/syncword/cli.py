@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import enumeration, series, sync
 from .automaton import (BUILTIN_NAMES, Dfa, builtin_automaton, dfa_from_json,
-                        parse_dfa, serialize_dfa, word_from_str, word_to_str)
-from .errors import CapacityError, CheckFailure, DfaError, DfaParseError
-from .word_matrix import matrix_of_word, render
+                        image, parse_dfa, serialize_dfa, word_from_str, word_to_str)
+from .errors import CapacityError, DfaError, DfaParseError
+from .word_matrix import dense, matrix_of_word, render
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,26 +97,17 @@ def cmd_reset_word(args) -> int:
         payload["profile"] = [[length, value] for length, value
                               in series.suffix_profile(ctx, result.word)]
     if args.show_matrix:
-        payload["matrix"] = [list(row) for row
-                             in _dense(matrix_of_word(dfa, result.word))]
+        payload["matrix"] = dense(matrix_of_word(dfa, result.word))
     if args.check_lemmas:
         checks = [
             ("irreducible", sync.is_irreducible(dfa, result.word, result.target)),
             ("suffix-distinct",
              sync.suffix_distinctness_check(dfa, result.word, result.target)),
         ]
-        try:
-            near = sync.near_sync_suffixes(dfa, result.word, result.target)
-            checks.append(("near-sync-suffixes", len(near) <= dfa.n))
-        except CheckFailure:
-            checks.append(("near-sync-suffixes", False))
-        dims_ok = True
-        for i in range(1, dfa.n):
-            try:
-                series.suffix_space_dimension(ctx, result.word, i)
-            except CheckFailure:
-                dims_ok = False
-        checks.append(("suffix-space-bound", dims_ok))
+        checks.append(("near-sync-suffixes", enumeration.near_sync_check(
+            dfa, result.word, result.target)[0]))
+        checks.append(("suffix-space-bound",
+                       enumeration.suffix_space_check(ctx, result.word)[0]))
         # collapse implication over every split s = t.v of the found word
         s, q = result.word, result.target
         probes = [(), (0,), (1,)] if dfa.k >= 2 else [(), (0,)]
@@ -150,10 +141,6 @@ def cmd_reset_word(args) -> int:
     return EXIT_OK
 
 
-def _dense(M):
-    return [[1 if M.rows[i] == j else 0 for j in range(M.n)] for i in range(M.n)]
-
-
 def cmd_profile(args) -> int:
     dfa = load_input(args.input)
     if args.word is not None:
@@ -169,7 +156,6 @@ def cmd_profile(args) -> int:
             raise UsageError(f"--q {args.q} out of range [0, {dfa.n})")
         q = args.q
     else:
-        from .automaton import image
         img = image(dfa, dfa.full_set, word)
         if img & (img - 1):
             raise UsageError("word is not synchronizing; give --q explicitly")

@@ -20,9 +20,9 @@ from typing import Iterator, Sequence
 from . import linspace, series, sync
 from .automaton import (Dfa, Word, cerny_automaton, cerny_word, image,
                         kari_automaton, KARI_WORD, roman_automaton,
-                        ROMAN_WORD, word_to_str)
+                        ROMAN_WORD, table_strongly_connected, word_to_str)
 from .errors import CapacityError, CheckFailure, DfaError
-from .word_matrix import (identity, matrix_of_word, matrices_of_letters,
+from .word_matrix import (dense, identity, matrix_of_word, matrices_of_letters,
                           multiply, nonzero_columns, rank)
 
 ENUMERATION_GUARD = 10 ** 9
@@ -50,10 +50,13 @@ class ScanConfig:
         return self.n ** (self.n * self.k)
 
     def check_guard(self):
-        if self.table_count > ENUMERATION_GUARD:
-            raise CapacityError(
-                f"{self.n}^{self.n * self.k} = {self.table_count} tables exceed "
-                f"the enumeration guard {ENUMERATION_GUARD}")
+        nk = self.n * self.k
+        # n > 1 gives n^nk >= 2^nk, which exceeds the guard from this
+        # exponent on; rejecting here never builds the power itself
+        if (self.n > 1 and nk >= ENUMERATION_GUARD.bit_length()
+                or self.table_count > ENUMERATION_GUARD):
+            raise CapacityError(f"{self.n}^{nk} tables exceed the "
+                                f"enumeration guard {ENUMERATION_GUARD}")
         if self.canonicalize and self.n > CANONICAL_MAX_N:
             raise CapacityError(
                 f"canonicalization is O(n!) per table; capped at n <= {CANONICAL_MAX_N}")
@@ -92,26 +95,25 @@ def canonical_flat(flat: Sequence[int], n: int, k: int) -> tuple[int, ...]:
     return min(relabel_flat(flat, n, k, perm) for perm in permutations(range(n)))
 
 
-def _flat_strongly_connected(flat: Sequence[int], n: int, k: int) -> bool:
-    succ = [set() for _ in range(n)]
-    pred = [set() for _ in range(n)]
-    for c in range(k):
-        for p in range(n):
-            t = flat[c * n + p]
-            succ[p].add(t)
-            pred[t].add(p)
-    for adj in (succ, pred):
-        seen = 1
-        stack = [0]
-        while stack:
-            p = stack.pop()
-            for t in adj[p]:
-                if not seen >> t & 1:
-                    seen |= 1 << t
-                    stack.append(t)
-        if seen != (1 << n) - 1:
-            return False
-    return True
+def _filtered_tables(n: int, k: int, require_sc: bool, canonical: bool,
+                     start: int, end: int) -> Iterator[list[int]]:
+    """Flat tables of indices [start, end) that pass the filters, in index order.
+
+    One list is incremented in place as a base-n numeral and yielded each
+    time; a caller that keeps a table must copy it.
+    """
+    flat = index_to_flat(start, n, k)
+    for _ in range(start, end):
+        if ((not require_sc or table_strongly_connected(flat, n))
+                and (not canonical or tuple(flat) == canonical_flat(flat, n, k))):
+            yield flat
+        pos = n * k - 1
+        while pos >= 0:
+            flat[pos] += 1
+            if flat[pos] < n:
+                break
+            flat[pos] = 0
+            pos -= 1
 
 
 def enumerate_dfas(cfg: ScanConfig) -> Iterator[Dfa]:
@@ -122,12 +124,8 @@ def enumerate_dfas(cfg: ScanConfig) -> Iterator[Dfa]:
     """
     cfg.check_guard()
     n, k = cfg.n, cfg.k
-    for idx in range(cfg.table_count):
-        flat = index_to_flat(idx, n, k)
-        if cfg.require_strongly_connected and not _flat_strongly_connected(flat, n, k):
-            continue
-        if cfg.canonicalize and tuple(flat) != canonical_flat(flat, n, k):
-            continue
+    for flat in _filtered_tables(n, k, cfg.require_strongly_connected,
+                                 cfg.canonicalize, 0, cfg.table_count):
         yield flat_to_dfa(flat, n, k)
 
 
@@ -217,38 +215,22 @@ def _scan_chunk(args) -> dict:
     too_long: list[tuple[int, ...]] = []
     beyond_conjecture: list[tuple[int, ...]] = []
     subset_images = [[0] * (1 << n) for _ in range(k)]
-    flat = index_to_flat(start, n, k)
-    idx = start
-    while idx < end:
-        if require_sc and not _flat_strongly_connected(flat, n, k):
-            pass
-        elif canonical and tuple(flat) != canonical_flat(flat, n, k):
-            pass
-        else:
-            total += 1
-            length = _flat_shortest_reset_length(flat, n, k, subset_images)
-            if length is not None:
-                hist[length] = hist.get(length, 0) + 1
-                if length > max_len:
-                    max_len = length
-                    max_count = 1
-                    max_witnesses = {canonical_flat(flat, n, k)}
-                elif length == max_len:
-                    max_count += 1
-                    max_witnesses.add(canonical_flat(flat, n, k))
-                if length > cube:
-                    too_long.append(tuple(flat))
-                if length > cerny_bound:
-                    beyond_conjecture.append(tuple(flat))
-        idx += 1
-        # increment the base-n numeral in place
-        pos = n * k - 1
-        while pos >= 0:
-            flat[pos] += 1
-            if flat[pos] < n:
-                break
-            flat[pos] = 0
-            pos -= 1
+    for flat in _filtered_tables(n, k, require_sc, canonical, start, end):
+        total += 1
+        length = _flat_shortest_reset_length(flat, n, k, subset_images)
+        if length is not None:
+            hist[length] = hist.get(length, 0) + 1
+            if length > max_len:
+                max_len = length
+                max_count = 1
+                max_witnesses = {canonical_flat(flat, n, k)}
+            elif length == max_len:
+                max_count += 1
+                max_witnesses.add(canonical_flat(flat, n, k))
+            if length > cube:
+                too_long.append(tuple(flat))
+            if length > cerny_bound:
+                beyond_conjecture.append(tuple(flat))
     return {
         "total": total,
         "histogram": hist,
@@ -338,6 +320,26 @@ def suffix_closed_dimension_check(dfa: Dfa, s: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # the assertion battery
 
+def suffix_space_check(ctx: series.SeriesContext, s: Word) -> tuple[bool, str]:
+    """(passed, detail) of suffix_space_dimension at every level 1..n-1."""
+    dims = []
+    for i in range(1, ctx.dfa.n):
+        try:
+            dims.append(series.suffix_space_dimension(ctx, s, i))
+        except CheckFailure as e:
+            return False, f"i={i}: {e}"
+    return True, f"dims {dims}"
+
+
+def near_sync_check(dfa: Dfa, s: Word, q: int) -> tuple[bool, str]:
+    """(passed, detail) of near_sync_suffixes on a minimal reset word."""
+    try:
+        near = sync.near_sync_suffixes(dfa, s, q)
+    except CheckFailure as e:
+        return False, str(e)
+    return len(near) <= dfa.n, f"{len(near)} suffixes"
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -405,7 +407,7 @@ def verify_automaton(dfa: Dfa, name: str = "dfa",
     check("reset-matrix", nonzero_columns(M_min) == 1 << q and rank(M_min) == 1)
     bad = next((w for w in pool
                 if rank(matrix_of_word(dfa, w)) != linspace.span_dimension(
-                    _dense_rows(matrix_of_word(dfa, w)))), None)
+                    dense(matrix_of_word(dfa, w)))), None)
     check("rank-by-columns", bad is None,
           f"counterexample {word_to_str(bad)}" if bad else "")
 
@@ -481,25 +483,12 @@ def verify_automaton(dfa: Dfa, name: str = "dfa",
             break
     check("span-word-stability", ok)
 
-    # suffix space dimensions at every level
-    dims = []
-    for i in range(1, n):
-        try:
-            dims.append(series.suffix_space_dimension(ctx, s_min, i))
-        except CheckFailure as e:
-            check("suffix-space-bound", False, f"i={i}: {e}")
-            break
-    else:
-        check("suffix-space-bound", True, f"dims {dims}")
+    check("suffix-space-bound", *suffix_space_check(ctx, s_min))
 
     # irreducibility facts about the minimal word
     check("irreducible", sync.is_irreducible(dfa, s_min, q))
     check("suffix-distinct", sync.suffix_distinctness_check(dfa, s_min, q))
-    try:
-        near = sync.near_sync_suffixes(dfa, s_min, q)
-        check("near-sync-suffixes", len(near) <= n, f"{len(near)} suffixes")
-    except CheckFailure as e:
-        check("near-sync-suffixes", False, str(e))
+    check("near-sync-suffixes", *near_sync_check(dfa, s_min, q))
     check("suffix-independence", suffix_closed_dimension_check(dfa, s_min))
 
     # left stability and reset collapse over sampled triples
@@ -539,11 +528,6 @@ def verify_automaton(dfa: Dfa, name: str = "dfa",
               img & (img - 1) == 0 and len(w) == best.length,
               word_to_str(w, group=5))
     return results
-
-
-def _dense_rows(M) -> list[list[int]]:
-    n = M.n
-    return [[1 if M.rows[i] == j else 0 for j in range(n)] for i in range(n)]
 
 
 EXAMPLE_EXPECTATIONS = {

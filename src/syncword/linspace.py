@@ -37,11 +37,13 @@ class RowEchelon:
 
     Stored rows are mutually reduced and pivot-normalized, so reducing an
     incoming vector by every stored row (in any order) leaves exactly the
-    component outside the span.  Single-writer while mutable.
+    component outside the span.  Rows may carry `tail` extra entries that
+    are reduced along but never hold a pivot.  Single-writer while mutable.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, tail: int = 0):
         self.width = width
+        self.tail = tail
         self.pivot_rows: list[tuple[int, list[Fraction]]] = []
 
     @property
@@ -50,12 +52,13 @@ class RowEchelon:
 
     def _residual(self, vec: Sequence) -> list[Fraction]:
         vec = _as_fractions(vec)
-        if len(vec) != self.width:
-            raise DfaError(f"vector width {len(vec)} != {self.width}")
+        full = self.width + self.tail
+        if len(vec) != full:
+            raise DfaError(f"vector width {len(vec)} != {full}")
         for col, row in self.pivot_rows:
             f = vec[col]
             if f:
-                for j in range(self.width):
+                for j in range(full):
                     if row[j]:
                         vec[j] -= f * row[j]
         return vec
@@ -75,7 +78,7 @@ class RowEchelon:
                 for _, row in self.pivot_rows:
                     f = row[col]
                     if f:
-                        for j in range(self.width):
+                        for j in range(len(new_row)):
                             if new_row[j]:
                                 row[j] -= f * new_row[j]
                 self.pivot_rows.append((col, new_row))
@@ -139,75 +142,36 @@ class SpanSolver:
     """Echelonized basis list that remembers how each row was combined.
 
     Factoring the basis once makes decomposing many targets against the
-    same spanning set cheap; each stored row carries its expression in the
-    original list, so solutions fall out of plain forward reduction.
+    same spanning set cheap.  Each basis vector enters a RowEchelon as
+    [vector | unit combination], so every stored row carries its
+    expression in the original list and solutions fall out of reduction.
     """
 
     def __init__(self, basis: Sequence[Sequence]):
-        basis = [_as_fractions(b) for b in basis]
         self.size = len(basis)
         self.width = len(basis[0]) if basis else 0
-        # (pivot column, reduced vector, combination over the input list)
-        self.rows: list[tuple[int, list[Fraction], list[Fraction]]] = []
+        self.echelon = RowEchelon(self.width, tail=self.size)
         for i, vec in enumerate(basis):
             if len(vec) != self.width:
                 raise DfaError(f"vector width {len(vec)} != {self.width}")
-            comb = [Fraction(0)] * self.size
-            comb[i] = Fraction(1)
-            self._insert(vec, comb)
+            unit = [0] * self.size
+            unit[i] = 1
+            self.echelon.add(list(vec) + unit)
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
-
-    def _eliminate(self, vec: list[Fraction], comb: list[Fraction]):
-        for col, rvec, rcomb in self.rows:
-            f = vec[col]
-            if f:
-                for j in range(self.width):
-                    if rvec[j]:
-                        vec[j] -= f * rvec[j]
-                for j in range(self.size):
-                    if rcomb[j]:
-                        comb[j] -= f * rcomb[j]
-
-    def _insert(self, vec: list[Fraction], comb: list[Fraction]):
-        self._eliminate(vec, comb)
-        for col in range(self.width):
-            if vec[col]:
-                inv = 1 / vec[col]
-                vec = [x * inv for x in vec]
-                comb = [x * inv for x in comb]
-                for _, rvec, rcomb in self.rows:
-                    f = rvec[col]
-                    if f:
-                        for j in range(self.width):
-                            if vec[j]:
-                                rvec[j] -= f * vec[j]
-                        for j in range(self.size):
-                            if comb[j]:
-                                rcomb[j] -= f * comb[j]
-                self.rows.append((col, vec, comb))
-                return
+        return self.echelon.dimension
 
     def solve(self, target: Sequence) -> Decomposition | None:
         """Coefficients over the input list, or None if target is outside."""
-        vec = _as_fractions(target)
-        if len(vec) != self.width:
-            raise DfaError(f"vector width {len(vec)} != {self.width}")
-        mu = [Fraction(0)] * self.size
-        for col, rvec, rcomb in self.rows:
-            f = vec[col]
-            if f:
-                for j in range(self.width):
-                    if rvec[j]:
-                        vec[j] -= f * rvec[j]
-                for j in range(self.size):
-                    if rcomb[j]:
-                        mu[j] += f * rcomb[j]
-        if any(vec):
+        if len(target) != self.width:
+            raise DfaError(f"vector width {len(target)} != {self.width}")
+        res = self.echelon._residual(list(target) + [0] * self.size)
+        if any(res[:self.width]):
             return None
-        return Decomposition(tuple((i, lam) for i, lam in enumerate(mu) if lam))
+        # reducing [target | 0] leaves [0 | -coefficients]
+        return Decomposition(tuple((i, -lam) for i, lam
+                                   in enumerate(res[self.width:]) if lam))
 
 
 def decompose(target: Sequence, basis: Sequence[Sequence]) -> Decomposition | None:

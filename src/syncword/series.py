@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .automaton import Dfa, image
+from .automaton import Dfa, image, suffix_maps, word_map
 from .errors import CheckFailure, DfaError
 from . import linspace
 from .word_matrix import matrix_of_word
@@ -47,33 +47,16 @@ class SeriesContext:
 
 def series_value(ctx: SeriesContext, w: Sequence[int]) -> int:
     """Value of w: preimage count of the target set minus the target size."""
-    dfa = ctx.dfa
-    w = dfa.check_word(w)
-    f = list(range(dfa.n))
-    for c in w:
-        row = dfa.delta[c]
-        f = [row[p] for p in f]
-    pre = sum(1 for p in range(dfa.n) if ctx.targets >> f[p] & 1)
-    return pre - ctx.target_size
+    targets = ctx.targets
+    return sum(targets >> t & 1 for t in word_map(ctx.dfa, w)) - ctx.target_size
 
 
 def suffix_profile(ctx: SeriesContext, s: Sequence[int]) -> Profile:
-    """(suffix length, value) for every right subword of s, lengths 0..|s|.
-
-    Computed right to left in O(n |s|): extending a suffix by one letter on
-    the left composes the letter's action before the suffix mapping.
-    """
-    dfa = ctx.dfa
-    s = dfa.check_word(s)
-    n = dfa.n
-    f = list(range(n))  # mapping of the current suffix
-    out = [(0, 0)]
-    for pos in range(len(s) - 1, -1, -1):
-        row = dfa.delta[s[pos]]
-        f = [f[row[p]] for p in range(n)]
-        pre = sum(1 for p in range(n) if ctx.targets >> f[p] & 1)
-        out.append((len(s) - pos, pre - ctx.target_size))
-    return out
+    """(suffix length, value) for every right subword of s, lengths 0..|s|."""
+    targets, size = ctx.targets, ctx.target_size
+    maps = suffix_maps(ctx.dfa, s)
+    return [(length, sum(targets >> t & 1 for t in f) - size)
+            for length, f in enumerate(reversed(maps))]
 
 
 def threshold_count(profile: Profile, bound: int) -> int:

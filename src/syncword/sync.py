@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Dfa, Word, image
+from .automaton import Dfa, Word, image, suffix_maps
 from .errors import CapacityError, CheckFailure, DfaError
 from .word_matrix import WordMatrix, matrix_of_word, multiply
 
@@ -170,10 +170,15 @@ def q_column(M: WordMatrix, q: int) -> int:
     """Bitmask of rows holding a unit in column q: the preimage of q."""
     if not 0 <= q < M.n:
         raise DfaError(f"state {q} out of range [0, {M.n})")
+    return _preimage(M.rows, q)
+
+
+def _preimage(f: Sequence[int], q: int) -> int:
+    """Bitmask of the states p with f[p] == q."""
     out = 0
-    for i, j in enumerate(M.rows):
-        if j == q:
-            out |= 1 << i
+    for p, t in enumerate(f):
+        if t == q:
+            out |= 1 << p
     return out
 
 
@@ -242,36 +247,20 @@ def _check_sync_to(dfa: Dfa, s: Sequence[int], q: int) -> Word:
     return s
 
 
-def _prefix_maps(dfa: Dfa, s: Word) -> list[list[int]]:
-    maps = [list(range(dfa.n))]
-    for c in s:
-        row = dfa.delta[c]
-        maps.append([row[p] for p in maps[-1]])
-    return maps
-
-
-def _suffix_maps(dfa: Dfa, s: Word) -> list[list[int]]:
-    """maps[j] is the state mapping of the suffix s[j:]."""
-    n = dfa.n
-    maps = [list(range(n)) for _ in range(len(s) + 1)]
-    for j in range(len(s) - 1, -1, -1):
-        row = dfa.delta[s[j]]
-        nxt = maps[j + 1]
-        maps[j] = [nxt[row[p]] for p in range(n)]
-    return maps
-
-
 def _removable_split(dfa: Dfa, s: Word, q: int) -> tuple[int, int] | None:
     """Leftmost-longest (i, j) with s[i:j] nonempty and M_{s[:i] s[j:]} ~q M_s,
-    or None when s is irreducible."""
-    n = dfa.n
-    pre = _prefix_maps(dfa, s)
-    suf = _suffix_maps(dfa, s)
+    or None when s is irreducible.
+
+    M_s has a full q-column, so the split is removable exactly when the
+    image of all states under s[:i] lies inside the q-column of s[j:].
+    """
+    cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
+    img = dfa.full_set
     for i in range(len(s)):
         for j in range(len(s), i, -1):
-            f, g = pre[i], suf[j]
-            if all(g[f[r]] == q for r in range(n)):
+            if img & ~cols[j] == 0:
                 return i, j
+        img = image(dfa, img, s[i:i + 1])
     return None
 
 
@@ -311,14 +300,7 @@ def suffix_distinctness_check(dfa: Dfa, s: Sequence[int], q: int) -> bool:
     is_irreducible.
     """
     s = _check_sync_to(dfa, s, q)
-    suf = _suffix_maps(dfa, s)
-    cols = []
-    for f in suf:
-        col = 0
-        for r in range(dfa.n):
-            if f[r] == q:
-                col |= 1 << r
-        cols.append(col)
+    cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
     # cols[j] belongs to suffix s[j:]; smaller j = longer suffix
     for j1 in range(len(cols)):
         for j2 in range(j1 + 1, len(cols)):
@@ -343,24 +325,22 @@ def near_sync_suffixes(dfa: Dfa, s: Sequence[int], q: int) -> list[Word]:
     if best is None or best.length != len(s):
         raise DfaError("word is not a minimal reset word")
     n = dfa.n
-    suf = _suffix_maps(dfa, s)
+    full = dfa.full_set
     found: list[Word] = []
     astray: list[int] = []
-    for length in range(0, len(s) + 1):
-        f = suf[len(s) - length]
-        odd = [r for r in range(n) if f[r] != q]
-        if len(odd) == 1:
-            found.append(s[len(s) - length:])
-            astray.append(odd[0])
+    cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
+    for j in range(len(s), -1, -1):
+        odd = full & ~cols[j]
+        if odd.bit_count() == 1:
+            found.append(s[j:])
+            astray.append(odd.bit_length() - 1)
     if len(found) > n:
         raise CheckFailure((len(found), n))
     if len(set(astray)) != len(astray):
         raise CheckFailure(astray)
-    if found:
-        full = dfa.full_set
-        if not any(
-            image(dfa, full, (c,) + u) & (image(dfa, full, (c,) + u) - 1) == 0
-            for c in range(dfa.k) for u in found
-        ):
-            raise CheckFailure("no letter completes a near-synchronizing suffix")
+    if found and not any(
+        image(dfa, full, (c,) + u) & (image(dfa, full, (c,) + u) - 1) == 0
+        for c in range(dfa.k) for u in found
+    ):
+        raise CheckFailure("no letter completes a near-synchronizing suffix")
     return found

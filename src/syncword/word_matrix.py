@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Dfa, apply
+from .automaton import Dfa, apply, word_map
 from .errors import DfaError
 
 
@@ -42,12 +42,7 @@ def identity(n: int) -> WordMatrix:
 
 def matrix_of_word(dfa: Dfa, w: Sequence[int]) -> WordMatrix:
     """Matrix with row i mapping to column apply(dfa, i, w)."""
-    w = dfa.check_word(w)
-    f = list(range(dfa.n))
-    for c in w:
-        row = dfa.delta[c]
-        f = [row[p] for p in f]
-    return WordMatrix(tuple(f))
+    return WordMatrix(tuple(word_map(dfa, w)))
 
 
 def multiply(A: WordMatrix, B: WordMatrix) -> WordMatrix:

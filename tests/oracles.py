@@ -5,7 +5,7 @@ from plain word enumeration or a frozenset search, ranks from fraction-free
 integer elimination, reachability from per-state searches.
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 from syncword import Dfa, apply, image
@@ -103,3 +103,41 @@ def all_pairs_reachable(dfa: Dfa) -> bool:
 def preimage_count(dfa: Dfa, w, q: int) -> int:
     """States sent into q by w, counted one by one."""
     return sum(1 for p in range(dfa.n) if apply(dfa, p, w) == q)
+
+
+def brute_removable_split(dfa: Dfa, s, q: int):
+    """Leftmost-longest (i, j), j > i, such that s[:i] + s[j:] sends every
+    state to q, or None.  Each candidate word is applied state by state."""
+    for i in range(len(s)):
+        for j in range(len(s), i, -1):
+            w = tuple(s[:i]) + tuple(s[j:])
+            if all(apply(dfa, p, w) == q for p in range(dfa.n)):
+                return i, j
+    return None
+
+
+def brute_reduce(dfa: Dfa, s, q: int):
+    """Remove leftmost-longest removable infixes until none is left."""
+    s = tuple(s)
+    while (split := brute_removable_split(dfa, s, q)) is not None:
+        s = s[:split[0]] + s[split[1]:]
+    return s
+
+
+def strongly_connected_class_count(n: int, k: int) -> int:
+    """Relabeling classes of strongly connected n-state, k-letter tables,
+    counted as distinct orbits of whole tables under every permutation."""
+    orbits = set()
+    for flat in product(range(n), repeat=n * k):
+        delta = tuple(flat[c * n:(c + 1) * n] for c in range(k))
+        if not all_pairs_reachable(Dfa(n, k, delta)):
+            continue
+        orbit = set()
+        for perm in permutations(range(n)):
+            inv = [0] * n
+            for old, new in enumerate(perm):
+                inv[new] = old
+            orbit.add(tuple(tuple(perm[row[inv[p]]] for p in range(n))
+                            for row in delta))
+        orbits.add(frozenset(orbit))
+    return len(orbits)

@@ -221,6 +221,13 @@ def test_scan_guard(capsys):
     assert "capacity" in err
 
 
+def test_scan_guard_on_a_power_too_large_to_print(capsys):
+    # 2000^4000 has far more digits than int-to-str conversion allows
+    code, _, err = run(capsys, "scan", "--n", "2000", "--k", "2")
+    assert code == 3
+    assert "capacity error" in err
+
+
 # ---------------------------------------------------------------------------
 # examples
 

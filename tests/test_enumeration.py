@@ -13,6 +13,8 @@ from syncword import (CapacityError, Dfa, ScanConfig, canonical_flat,
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, dfa_to_flat,
                                   flat_to_dfa, index_to_flat, relabel_flat)
 
+from oracles import all_pairs_reachable, strongly_connected_class_count
+
 
 # ---------------------------------------------------------------------------
 # table indexing and canonical forms
@@ -73,6 +75,13 @@ def test_enumerate_strongly_connected_filter():
     assert stuck not in kept
     total = sum(1 for _ in enumerate_dfas(ScanConfig(2, 2)))
     assert len(kept) < total == 16
+
+
+def test_enumerate_strongly_connected_canonical_matches_oracle():
+    cfg = ScanConfig(3, 2, require_strongly_connected=True, canonicalize=True)
+    kept = list(enumerate_dfas(cfg))
+    assert len(kept) == strongly_connected_class_count(3, 2)
+    assert all(all_pairs_reachable(d) for d in kept)
 
 
 def test_guard_rejects_oversized_spaces():

@@ -150,6 +150,38 @@ def test_span_solver_reuse_and_dimension():
     assert solver.solve((Fraction(1),) * 16) is None
 
 
+@st.composite
+def dependent_lists(draw):
+    """Integer vectors, some of them combinations of earlier ones, and a
+    target that is either such a combination or arbitrary."""
+    width = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    vecs = [draw(st.lists(entry, min_size=width, max_size=width))]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(entry, min_size=len(vecs), max_size=len(vecs)))
+            vecs.append([sum(c * v[j] for c, v in zip(coeffs, vecs))
+                         for j in range(width)])
+        else:
+            vecs.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(entry, min_size=len(vecs), max_size=len(vecs)))
+        target = [sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(width)]
+    else:
+        target = draw(st.lists(entry, min_size=width, max_size=width))
+    return vecs, target
+
+
+@given(dependent_lists())
+def test_span_solver_on_dependent_lists_matches_integer_rank(case):
+    vecs, target = case
+    d = SpanSolver(vecs).solve(target)
+    outside = int_rank(vecs + [target]) > int_rank(vecs)
+    assert (d is None) == outside
+    if d is not None:
+        assert combine(vecs, d) == tuple(target)
+
+
 def test_left_multiply_flat():
     M = WordMatrix((1, 0))
     flat = [Fraction(x) for x in (1, 2, 3, 4)]

@@ -2,7 +2,7 @@ from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from syncword import (CapacityError, CheckFailure, Dfa, DfaError, KARI_WORD,
                       ROMAN_WORD,
@@ -13,8 +13,10 @@ from syncword import (CapacityError, CheckFailure, Dfa, DfaError, KARI_WORD,
                       reduce_word, reset_collapse_check, roman_automaton,
                       shortest_reset_word, suffix_distinctness_check,
                       word_from_str)
+from syncword.sync import _removable_split
 
-from oracles import brute_minimal_reset, frozenset_minimal_reset
+from oracles import (brute_minimal_reset, brute_reduce, brute_removable_split,
+                     frozenset_minimal_reset)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +270,32 @@ def test_reduce_output_always_irreducible(n, pad_seed):
     assert is_irreducible(d, out, 1)
     assert image(d, d.full_set, out) == 1 << 1
     assert len(out) <= len(padded)
+
+
+@st.composite
+def padded_reset_words(draw):
+    """A synchronizing table with n <= 6 and a reset word u s v, where s is
+    its shortest reset word and u, v are arbitrary padding."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+    d = Dfa(n, k, tuple(map(tuple, delta)))
+    best = shortest_reset_word(d)
+    assume(best is not None)
+    pad = st.lists(st.integers(0, k - 1), max_size=6).map(tuple)
+    w = draw(pad) + best.word + draw(pad)
+    return d, w, image(d, d.full_set, w).bit_length() - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_reset_words())
+def test_reduction_matches_brute_force_split_oracle(case):
+    d, w, q = case
+    split = brute_removable_split(d, w, q)
+    assert _removable_split(d, w, q) == split
+    assert is_irreducible(d, w, q) == (split is None)
+    assert reduce_word(d, w, q) == brute_reduce(d, w, q)
 
 
 # ---------------------------------------------------------------------------
