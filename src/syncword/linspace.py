@@ -1,9 +1,10 @@
-"""Exact rational linear algebra over flattened word matrices.
+"""Exact linear algebra over flattened word matrices.
 
-Matrices are flattened row-major into vectors of length n^2 over the field
-of rationals (stdlib Fraction, so every dimension claim is checked with
-zero tolerance).  A shared incremental row-echelon accumulator powers span
-dimensions, membership tests and decompositions in one pass.
+Matrices are flattened row-major into 0/1 integer vectors of length n^2.
+Rationals (stdlib Fraction) appear only where elimination divides by a
+pivot, so every dimension claim is checked with zero tolerance.  A shared
+incremental row-echelon accumulator powers span dimensions, membership
+tests and decompositions in one pass.
 """
 
 from __future__ import annotations
@@ -16,20 +17,21 @@ from .automaton import Dfa
 from .errors import DfaError
 from .word_matrix import WordMatrix, identity, matrices_of_letters, multiply
 
-FlatMatrix = tuple[Fraction, ...]
+FlatMatrix = tuple[int, ...]
 
 
 def flatten(M: WordMatrix) -> FlatMatrix:
     """Row-major n^2 vector of the dense 0/1 view."""
     n = M.n
-    out = [Fraction(0)] * (n * n)
+    out = [0] * (n * n)
     for i, j in enumerate(M.rows):
-        out[i * n + j] = Fraction(1)
+        out[i * n + j] = 1
     return tuple(out)
 
 
-def _as_fractions(vec: Sequence) -> list[Fraction]:
-    return [Fraction(x) for x in vec]
+def _exact(x):
+    """An int as is, any other number (float, Fraction) as its exact Fraction."""
+    return x if isinstance(x, int) else Fraction(x)
 
 
 class RowEchelon:
@@ -50,8 +52,8 @@ class RowEchelon:
     def dimension(self) -> int:
         return len(self.pivot_rows)
 
-    def _residual(self, vec: Sequence) -> list[Fraction]:
-        vec = _as_fractions(vec)
+    def _residual(self, vec: Sequence) -> list:
+        vec = [_exact(x) for x in vec]
         full = self.width + self.tail
         if len(vec) != full:
             raise DfaError(f"vector width {len(vec)} != {full}")
@@ -72,7 +74,7 @@ class RowEchelon:
         res = self._residual(vec)
         for col in range(self.width):
             if res[col]:
-                inv = 1 / res[col]
+                inv = 1 / Fraction(res[col])
                 new_row = [x * inv for x in res]
                 # keep stored rows mutually reduced
                 for _, row in self.pivot_rows:
@@ -182,7 +184,7 @@ def decompose(target: Sequence, basis: Sequence[Sequence]) -> Decomposition | No
     independent it is the unique one.
     """
     if not basis:
-        return None if any(Fraction(x) for x in target) else Decomposition(())
+        return None if any(target) else Decomposition(())
     return SpanSolver(basis).solve(target)
 
 
@@ -192,22 +194,20 @@ def coefficient_sum(d: Decomposition) -> Fraction:
     return sum((lam for _, lam in d.coefficients), Fraction(0))
 
 
-def combine(basis: Sequence[Sequence], d: Decomposition) -> FlatMatrix:
+def combine(basis: Sequence[Sequence], d: Decomposition) -> tuple:
     """Re-sum a decomposition; reproduces the target exactly."""
-    basis = [_as_fractions(b) for b in basis]
     width = len(basis[0]) if basis else 0
-    out = [Fraction(0)] * width
+    out = [0] * width
     for i, lam in d.coefficients:
         for j in range(width):
-            out[j] += lam * basis[i][j]
+            out[j] += lam * _exact(basis[i][j])
     return tuple(out)
 
 
-def left_multiply_flat(wm: WordMatrix, flat: Sequence) -> FlatMatrix:
+def left_multiply_flat(wm: WordMatrix, flat: Sequence) -> tuple:
     """Product wm . F for an arbitrary flat matrix F: row i of the result is
     row wm.rows[i] of F."""
     n = wm.n
-    flat = _as_fractions(flat)
     if len(flat) != n * n:
         raise DfaError(f"flat width {len(flat)} != {n * n}")
     out = []

@@ -9,7 +9,6 @@ of the empty word is 0, and every value lies in [-|P|, n-|P|].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .automaton import Dfa, image, suffix_maps, word_map
@@ -114,6 +113,5 @@ def series_linearity_check(
     d = linspace.decompose(linspace.flatten(matrix_of_word(dfa, target)), basis)
     if d is None:
         return None
-    expected = sum((lam * series_value(ctx, parts[i]) for i, lam in d.coefficients),
-                   Fraction(0))
+    expected = sum(lam * series_value(ctx, parts[i]) for i, lam in d.coefficients)
     return expected == series_value(ctx, target)

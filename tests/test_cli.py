@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import syncword
 from syncword import Dfa, parse_dfa
@@ -182,6 +184,39 @@ def test_verify_verdict_survives_optimize_flag(tmp_path, flags):
     assert proc.returncode == 2
     assert "[FAIL] near-sync-suffixes: no letter completes" in proc.stdout
     assert proc.stdout.endswith("summary: 23/24 passed\n")
+
+
+@pytest.mark.parametrize("table", [
+    "1 1\n0\n",
+    "1 2\n0\n0\n",
+    "2 3\n0 1\n0 0\n1 0\n",
+    "3 4\n1 2 0\n1 1 2\n0 0 1\n2 0 1\n",
+])
+def test_verify_one_state_and_more_letters_than_states(tmp_path, capsys, table):
+    path = tmp_path / "small.dfa"
+    path.write_text(table)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "FAIL" not in out
+
+
+@st.composite
+def small_tables(draw):
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return f"{n} {k}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables())
+def test_verify_exit_code_matches_verdict(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "t.dfa", Path(tmp) / "out.json"
+        path.write_text(table)
+        code = main(["verify", str(path), "--json", "--out", str(out)])
+        assert code in (0, 2)
+        assert (code == 0) == json.loads(out.read_text())["passed"]
 
 
 # ---------------------------------------------------------------------------

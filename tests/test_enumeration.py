@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -10,7 +11,8 @@ from syncword import (CapacityError, Dfa, ScanConfig, canonical_flat,
                       is_strongly_connected, shortest_reset_word,
                       suffix_closed_dimension_check, verify_automaton,
                       verify_example_suite)
-from syncword.enumeration import (EXAMPLE_EXPECTATIONS, dfa_to_flat,
+from syncword import enumeration
+from syncword.enumeration import (EXAMPLE_EXPECTATIONS, _word_pool, dfa_to_flat,
                                   flat_to_dfa, index_to_flat, relabel_flat)
 
 from oracles import all_pairs_reachable, strongly_connected_class_count
@@ -190,6 +192,23 @@ def test_verify_automaton_passes_on_cerny3():
     names = {r.name for r in results}
     assert {"synchronizing", "coefficient-sum", "series-linearity",
             "irreducible", "left-stability", "reset-collapse"} <= names
+
+
+def test_verify_builds_each_pool_word_matrix_once(monkeypatch):
+    dfa = cerny_automaton(4)
+    s = shortest_reset_word(dfa).word
+    calls = Counter()
+    real = enumeration.matrix_of_word
+
+    def counting(d, w):
+        calls[tuple(w)] += 1
+        return real(d, w)
+
+    monkeypatch.setattr(enumeration, "matrix_of_word", counting)
+    verify_automaton(dfa)
+    # suffixes of the reset word feed their own checks
+    pool = [w for w in _word_pool(dfa) if w != s[len(s) - len(w):]]
+    assert {calls[w] for w in pool} == {1}
 
 
 def test_verify_flags_unsynchronizable_automaton():

@@ -20,7 +20,30 @@ def family_on_columns(n, k):
 
 
 def test_flatten():
-    assert flatten(WordMatrix((1, 0))) == (0, 1, 1, 0)
+    flat = flatten(WordMatrix((1, 0)))
+    assert flat == (0, 1, 1, 0)
+    assert all(type(x) is int for x in flat)
+
+
+def test_solve_divides_integer_vectors_into_exact_fractions():
+    d = SpanSolver([(3, 1), (0, 7)]).solve((1, 1))
+    assert d.coefficients == ((0, Fraction(1, 3)), (1, Fraction(2, 21)))
+    assert all(type(lam) is Fraction for _, lam in d.coefficients)
+
+
+def test_row_echelon_stores_no_float():
+    ech = RowEchelon(3)
+    for vec in ([2, 1, 0], [0.5, 0, 3], [1, Fraction(1, 3), 1]):
+        ech.add(vec)
+    assert all(type(x) is Fraction for _, row in ech.pivot_rows for x in row)
+
+
+def test_float_inputs_are_read_exactly():
+    d = decompose((0.5, 0.25), [(1, 0), (0, 1)])
+    assert d.coefficients == ((0, Fraction(1, 2)), (1, Fraction(1, 4)))
+    assert all(type(lam) is Fraction for _, lam in d.coefficients)
+    third = Decomposition(((0, Fraction(1, 3)),))
+    assert combine([(0.5, 0.25)], third) == (Fraction(1, 6), Fraction(1, 12))
 
 
 def test_row_echelon_membership():
