@@ -112,7 +112,9 @@ def cmd_reset_word(args) -> int:
         s, q = result.word, result.target
         probes = [(), (0,), (1,)] if dfa.k >= 2 else [(), (0,)]
         collapse_ok = all(
-            sync.reset_collapse_check(dfa, s[:i], u, s[i:], q)
+            sync.reset_collapse_check(matrix_of_word(dfa, s[:i]),
+                                      matrix_of_word(dfa, u),
+                                      matrix_of_word(dfa, s[i:]), q)
             for i in range(len(s) + 1) for u in probes + [s[i:]])
         checks.append(("reset-collapse", collapse_ok))
         payload["checks"] = [{"name": name, "passed": passed}
@@ -176,7 +178,7 @@ def cmd_profile(args) -> int:
 def cmd_verify(args) -> int:
     dfa = load_input(args.input)
     expect = enumeration.EXAMPLE_EXPECTATIONS.get(args.input)
-    results = enumeration.verify_automaton(dfa, args.input, expect)
+    results = enumeration.verify_automaton(dfa, expect)
     all_passed = all(r.passed for r in results)
     if args.json:
         payload = {"input": args.input, "passed": all_passed,

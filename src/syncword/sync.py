@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .automaton import Dfa, Word, image, suffix_maps
 from .errors import CapacityError, CheckFailure, DfaError
-from .word_matrix import WordMatrix, matrix_of_word, multiply
+from .word_matrix import WordMatrix, multiply
 
 DEFAULT_SUBSET_LIMIT = 24
 SUBSET_LIMIT_ENV = "SYNCWORD_SUBSET_LIMIT"
@@ -197,17 +197,14 @@ def q_preceq(B: WordMatrix, A: WordMatrix, q: int) -> bool:
     return b & ~a == 0
 
 
-def left_stability_check(dfa: Dfa, a: Sequence[int], u: Sequence[int],
-                         v: Sequence[int], q: int) -> bool:
+def left_stability_check(Ma: WordMatrix, Mu: WordMatrix, Mv: WordMatrix,
+                         q: int) -> bool:
     """Left multiplication preserves the q-relations on this triple.
 
     Verifies that M_u ~q M_v forces M_au ~q M_av, and that the q-column of
     M_v inside M_u's forces the same containment after prefixing a.  Both
     implications hold vacuously when the antecedent fails.
     """
-    Ma = matrix_of_word(dfa, a)
-    Mu = matrix_of_word(dfa, u)
-    Mv = matrix_of_word(dfa, v)
     ok = True
     if q_equivalent(Mu, Mv, q):
         ok = ok and q_equivalent(multiply(Ma, Mu), multiply(Ma, Mv), q)
@@ -216,21 +213,18 @@ def left_stability_check(dfa: Dfa, a: Sequence[int], u: Sequence[int],
     return ok
 
 
-def reset_collapse_check(dfa: Dfa, t: Sequence[int], u: Sequence[int],
-                         v: Sequence[int], q: int) -> bool:
+def reset_collapse_check(Mt: WordMatrix, Mu: WordMatrix, Mv: WordMatrix,
+                         q: int) -> bool:
     """Collapse to full equality at reset matrices, on this triple.
 
     When M_u ~q M_v (or M_v's q-column sits inside M_u's) and M_tv is the
     reset matrix targeting q, then M_tu must equal M_tv as a whole matrix.
     True when the implication holds (vacuously if premises fail).
     """
-    Mt = matrix_of_word(dfa, t)
-    Mu = matrix_of_word(dfa, u)
-    Mv = matrix_of_word(dfa, v)
     if not (q_equivalent(Mu, Mv, q) or q_preceq(Mv, Mu, q)):
         return True
     Mtv = multiply(Mt, Mv)
-    if q_column(Mtv, q) != dfa.full_set:
+    if q_column(Mtv, q) != (1 << Mt.n) - 1:
         return True
     return multiply(Mt, Mu) == Mtv
 

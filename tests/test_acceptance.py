@@ -134,21 +134,23 @@ def test_criterion_6_stability_and_collapse():
     assert len(words) == 63
     multipliers = [(0,), (1,)]
     collapse_ts = [(), (0,), (1,), cerny_word(4)]
+    M = {w: matrix_of_word(d, w) for w in words + collapse_ts}
     for u in words:
         for v in words:
             for q in range(4):
                 for a in multipliers:
-                    assert left_stability_check(d, a, u, v, q), (a, u, v, q)
+                    assert left_stability_check(M[a], M[u], M[v], q), (a, u, v, q)
                 for t in collapse_ts:
-                    assert reset_collapse_check(d, t, u, v, q), (t, u, v, q)
+                    assert reset_collapse_check(M[t], M[u], M[v], q), (t, u, v, q)
     kari = kari_automaton()
     rng = random.Random(2001)
     for _ in range(500):
         a, u, v = (tuple(rng.randrange(2) for _ in range(rng.randint(0, 8)))
                    for _ in range(3))
+        Ma, Mu, Mv = (matrix_of_word(kari, w) for w in (a, u, v))
         for q in range(6):
-            assert left_stability_check(kari, a, u, v, q), (a, u, v, q)
-            assert reset_collapse_check(kari, a, u, v, q), (a, u, v, q)
+            assert left_stability_check(Ma, Mu, Mv, q), (a, u, v, q)
+            assert reset_collapse_check(Ma, Mu, Mv, q), (a, u, v, q)
 
 
 @criterion(7, "minimal words pass irreducibility, suffix distinctness and "

@@ -200,6 +200,20 @@ def test_verify_one_state_and_more_letters_than_states(tmp_path, capsys, table):
     assert "FAIL" not in out
 
 
+def test_verify_rejects_nine_letters_before_any_work(tmp_path, capsys,
+                                                    monkeypatch):
+    searched = []
+    monkeypatch.setattr(syncword.sync, "shortest_reset_word",
+                        lambda *args: searched.append(args))
+    path = tmp_path / "wide.dfa"
+    path.write_text("2 9\n" + "0 0\n" * 9)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert "capacity error" in err
+    assert out == ""
+    assert searched == []
+
+
 @st.composite
 def small_tables(draw):
     n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))

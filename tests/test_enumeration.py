@@ -11,7 +11,9 @@ from syncword import (CapacityError, Dfa, ScanConfig, canonical_flat,
                       is_strongly_connected, shortest_reset_word,
                       suffix_closed_dimension_check, verify_automaton,
                       verify_example_suite)
-from syncword import enumeration
+import syncword
+from syncword import (automaton, cli, enumeration, linspace, series, sync,
+                      word_matrix)
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, _word_pool, dfa_to_flat,
                                   flat_to_dfa, index_to_flat, relabel_flat)
 
@@ -185,8 +187,7 @@ def test_identity_letter_gives_empty_suffix_only():
 # the verification battery
 
 def test_verify_automaton_passes_on_cerny3():
-    results = verify_automaton(cerny_automaton(3), "cerny:3",
-                               EXAMPLE_EXPECTATIONS["cerny:3"])
+    results = verify_automaton(cerny_automaton(3), EXAMPLE_EXPECTATIONS["cerny:3"])
     failed = [r for r in results if not r.passed]
     assert failed == []
     names = {r.name for r in results}
@@ -198,13 +199,18 @@ def test_verify_builds_each_pool_word_matrix_once(monkeypatch):
     dfa = cerny_automaton(4)
     s = shortest_reset_word(dfa).word
     calls = Counter()
-    real = enumeration.matrix_of_word
+    real = word_matrix.matrix_of_word
 
     def counting(d, w):
         calls[tuple(w)] += 1
         return real(d, w)
 
-    monkeypatch.setattr(enumeration, "matrix_of_word", counting)
+    # rebind every import of it, so a call from any layer counts; the
+    # defining module keeps its own name for matrices_of_letters
+    for mod in (syncword, automaton, cli, enumeration, linspace, series, sync):
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counting)
     verify_automaton(dfa)
     # suffixes of the reset word feed their own checks
     pool = [w for w in _word_pool(dfa) if w != s[len(s) - len(w):]]
@@ -213,9 +219,22 @@ def test_verify_builds_each_pool_word_matrix_once(monkeypatch):
 
 def test_verify_flags_unsynchronizable_automaton():
     swap = Dfa(2, 1, ((1, 0),))
-    results = verify_automaton(swap, "swap")
+    results = verify_automaton(swap)
     assert [r.name for r in results] == ["synchronizing"]
     assert not results[0].passed
+
+
+def test_verify_flags_a_dependent_basis(monkeypatch):
+    real = linspace.standard_basis
+
+    def with_a_repeat(*args):
+        basis = real(*args)
+        return basis + basis[:1]
+
+    monkeypatch.setattr(linspace, "standard_basis", with_a_repeat)
+    results = {r.name: r for r in verify_automaton(cerny_automaton(3))}
+    assert results["basis-dimension"].passed
+    assert not results["basis-independence"].passed
 
 
 def test_verify_example_suite_all_green():
@@ -227,6 +246,6 @@ def test_verify_example_suite_all_green():
 
 
 def test_check_result_to_dict():
-    results = verify_automaton(cerny_automaton(3), "cerny:3")
+    results = verify_automaton(cerny_automaton(3))
     d = results[0].to_dict()
     assert set(d) == {"name", "passed", "detail"}

@@ -188,13 +188,14 @@ def test_q_preceq_cases():
 
 def test_left_stability_trivial_and_exhaustive_small():
     d = kari_automaton()
-    assert left_stability_check(d, (0,), (1, 0), (1, 0), 3)
-    words = [w for L in range(3) for w in product(range(2), repeat=L)]
-    for a in words:
-        for u in words:
-            for v in words:
+    M = {w: matrix_of_word(d, w) for L in range(3)
+         for w in product(range(2), repeat=L)}
+    assert left_stability_check(M[(0,)], M[(1, 0)], M[(1, 0)], 3)
+    for a in M:
+        for u in M:
+            for v in M:
                 for q in range(d.n):
-                    assert left_stability_check(d, a, u, v, q)
+                    assert left_stability_check(M[a], M[u], M[v], q)
 
 
 def test_reset_collapse_nonvacuous_instance():
@@ -204,13 +205,13 @@ def test_reset_collapse_nonvacuous_instance():
     Mt = matrix_of_word(d, t)
     assert Mu != Mv and q_equivalent(Mu, Mv, q)
     assert q_column(multiply(Mt, Mv), q) == d.full_set  # premises really hold
-    assert reset_collapse_check(d, t, u, v, q)
+    assert reset_collapse_check(Mt, Mu, Mv, q)
     assert multiply(Mt, Mu) == multiply(Mt, Mv)
 
 
 def test_reset_collapse_vacuous_cases():
     d = roman_automaton()
-    assert reset_collapse_check(d, (0,), (1,), (2,), 0)
+    assert reset_collapse_check(*(matrix_of_word(d, (c,)) for c in range(3)), 0)
 
 
 # ---------------------------------------------------------------------------
