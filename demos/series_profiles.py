@@ -6,7 +6,7 @@ Run with:  python demos/series_profiles.py
 from syncword import (KARI_WORD, ROMAN_WORD, SeriesContext, cerny_automaton,
                       cerny_word, kari_automaton, roman_automaton,
                       shortest_reset_word, suffix_profile,
-                      suffix_space_dimension, threshold_count, word_to_str)
+                      suffix_space_dimensions, threshold_count, word_to_str)
 
 # For a target state q, the value of a word w counts the states pulled
 # into q beyond the one already there: preimage size minus 1.  Suffixes of
@@ -23,7 +23,7 @@ for dfa, word in [(kari_automaton(), KARI_WORD),
         print(f"  suffixes with value >= {bound}: "
               f"{threshold_count(profile, bound)}")
     # the matrices of high-value suffixes live in small subspaces
-    dims = [suffix_space_dimension(ctx, word, i) for i in range(1, dfa.n)]
+    dims = suffix_space_dimensions(ctx, word)
     print("  suffix-space dimensions by allowed image size:", dims)
     print("  bounds (i-1)n+1:", [(i - 1) * dfa.n + 1 for i in range(1, dfa.n)])
     print()

@@ -44,17 +44,25 @@ def load_input(spec: str) -> Dfa:
         raise DfaParseError(
             f"{spec!r} is neither a built-in ({', '.join(BUILTIN_NAMES)}) "
             f"nor an existing file")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        # an OSError's strerror omits the path, which the message already has
+        reason = getattr(e, "strerror", None) or e
+        raise DfaParseError(f"cannot read {spec!r}: {reason}") from None
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         return dfa_from_json(text)
     return parse_dfa(text)
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {out!r}: {e.strerror}") from None
 
 
 def _profile_lines(dfa: Dfa, profile, as_csv: bool) -> str:
@@ -99,17 +107,14 @@ def cmd_reset_word(args) -> int:
     if args.show_matrix:
         payload["matrix"] = dense(matrix_of_word(dfa, result.word))
     if args.check_lemmas:
-        checks = [
-            ("irreducible", sync.is_irreducible(dfa, result.word, result.target)),
-            ("suffix-distinct",
-             sync.suffix_distinctness_check(dfa, result.word, result.target)),
-        ]
-        checks.append(("near-sync-suffixes", enumeration.near_sync_check(
-            dfa, result.word, result.target)[0]))
-        checks.append(("suffix-space-bound",
-                       enumeration.suffix_space_check(ctx, result.word)[0]))
-        # collapse implication over every split s = t.v of the found word
         s, q = result.word, result.target
+        checks = [
+            ("irreducible", sync.is_irreducible(dfa, s, q)),
+            ("suffix-distinct", sync.suffix_distinctness_check(dfa, s, q)),
+            ("near-sync-suffixes", enumeration.near_sync_check(dfa, s, q)[0]),
+            ("suffix-space-bound", enumeration.suffix_space_check(ctx, s)[0]),
+        ]
+        # collapse implication over every split s = t.v of the found word
         probes = [(), (0,), (1,)] if dfa.k >= 2 else [(), (0,)]
         collapse_ok = all(
             sync.reset_collapse_check(matrix_of_word(dfa, s[:i]),
@@ -201,7 +206,7 @@ def cmd_scan(args) -> int:
         canonicalize=args.canonical)
     report = enumeration.extremal_scan(cfg)
     if args.out:
-        Path(args.out).write_text(report.to_json())
+        _emit(report.to_json(), args.out)
     if args.json:
         sys.stdout.write(report.to_json())
     else:

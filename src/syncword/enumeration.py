@@ -18,11 +18,11 @@ from typing import Iterator, Sequence
 
 from . import linspace, series, sync
 from .automaton import (Dfa, Word, builtin_automaton, cerny_word, image,
-                        KARI_WORD, ROMAN_WORD, table_strongly_connected,
-                        word_to_str)
+                        KARI_WORD, ROMAN_WORD, suffix_maps,
+                        table_strongly_connected, word_to_str)
 from .errors import CapacityError, CheckFailure, DfaError
-from .word_matrix import (dense, identity, matrix_of_word, matrices_of_letters,
-                          multiply, nonzero_columns, rank)
+from .word_matrix import (WordMatrix, dense, identity, matrix_of_word,
+                          matrices_of_letters, multiply, nonzero_columns, rank)
 
 ENUMERATION_GUARD = 10 ** 9
 CANONICAL_MAX_N = 5
@@ -295,14 +295,11 @@ def independent_suffix_length(dfa: Dfa, s: Sequence[int]) -> int:
     identity) included; independence, once broken, never returns, so the
     first dependent length stops the growth.
     """
-    s = dfa.check_word(s)
     ech = linspace.RowEchelon(dfa.n * dfa.n)
-    best = -1
-    for length in range(len(s) + 1):
-        if not ech.add(linspace.flatten(matrix_of_word(dfa, s[len(s) - length:]))):
+    for f in reversed(suffix_maps(dfa, s)):
+        if not ech.add(linspace.flatten(WordMatrix(tuple(f)))):
             break
-        best = length
-    return best
+    return ech.dimension - 1
 
 
 def suffix_closed_dimension_check(dfa: Dfa, s: Sequence[int]) -> bool:
@@ -312,10 +309,9 @@ def suffix_closed_dimension_check(dfa: Dfa, s: Sequence[int]) -> bool:
     are independent, the span dimension must equal the number of those
     matrices, |u|+1 counting the empty suffix.
     """
-    s = dfa.check_word(s)
     length = independent_suffix_length(dfa, s)
-    vecs = [linspace.flatten(matrix_of_word(dfa, s[len(s) - l:]))
-            for l in range(length + 1)]
+    u = s[len(s) - length:]
+    vecs = [linspace.flatten(WordMatrix(tuple(f))) for f in suffix_maps(dfa, u)]
     return linspace.span_dimension(vecs) == length + 1
 
 
@@ -323,23 +319,19 @@ def suffix_closed_dimension_check(dfa: Dfa, s: Sequence[int]) -> bool:
 # the assertion battery
 
 def suffix_space_check(ctx: series.SeriesContext, s: Word) -> tuple[bool, str]:
-    """(passed, detail) of suffix_space_dimension at every level 1..n-1."""
-    dims = []
-    for i in range(1, ctx.dfa.n):
-        try:
-            dims.append(series.suffix_space_dimension(ctx, s, i))
-        except CheckFailure as e:
-            return False, f"i={i}: {e}"
-    return True, f"dims {dims}"
+    """(passed, detail) of suffix_space_dimensions over levels 1..n-1."""
+    try:
+        return True, f"dims {series.suffix_space_dimensions(ctx, s)}"
+    except CheckFailure as e:
+        return False, f"i={e.args[0][1]}: {e}"
 
 
 def near_sync_check(dfa: Dfa, s: Word, q: int) -> tuple[bool, str]:
     """(passed, detail) of near_sync_suffixes on a minimal reset word."""
     try:
-        near = sync.near_sync_suffixes(dfa, s, q)
+        return True, f"{len(sync.near_sync_suffixes(dfa, s, q))} suffixes"
     except CheckFailure as e:
         return False, str(e)
-    return len(near) <= dfa.n, f"{len(near)} suffixes"
 
 
 @dataclass(frozen=True)
@@ -352,12 +344,12 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def _word_pool(dfa: Dfa, seed: int = 20240) -> list[Word]:
+def _word_pool(dfa: Dfa) -> list[Word]:
     """Deterministic sample: all words up to length 3 plus seeded longer ones."""
     pool: list[Word] = []
     for length in range(4):
         pool.extend(product(range(dfa.k), repeat=length))
-    rng = random.Random(seed + dfa.n * 31 + dfa.k)
+    rng = random.Random(20240 + dfa.n * 31 + dfa.k)
     for _ in range(30):
         length = rng.randint(4, max(4, 2 * dfa.n))
         pool.append(tuple(rng.randrange(dfa.k) for _ in range(length)))
@@ -440,9 +432,8 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
 
     # decomposition coefficient sums and series linearity
     flats = [linspace.flatten(g) for _, g in witnesses]
-    witness_words = [w for w, _ in witnesses]
     solver = linspace.SpanSolver(flats)
-    witness_values = [series.series_value(ctx, w) for w in witness_words]
+    witness_values = [series.series_value(ctx, w) for w, _ in witnesses]
     bad_sum = bad_lin = None
     for w in pool:
         d = solver.solve(vec[w])
@@ -459,16 +450,15 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
 
     # constant-level spans: a word matrix inside a level's span has that value
     profile = series.suffix_profile(ctx, s_min)
-    suffixes = [s_min[len(s_min) - length:] for length, _ in profile]
-    values = {length: value for length, value in profile}
+    suffixes = list(zip(profile, reversed(suffix_maps(dfa, s_min))))
     ok, detail = True, ""
     for level in range(0, n - 1):
-        members = [u for u in suffixes if values[len(u)] == level]
+        members = [f for (_, value), f in suffixes if value == level]
         if len(members) < 2:
             continue
         lech = linspace.RowEchelon(n * n)
-        for u in members:
-            lech.add(linspace.flatten(matrix_of_word(dfa, u)))
+        for f in members:
+            lech.add(linspace.flatten(WordMatrix(tuple(f))))
         for w in pool:
             if lech.contains(vec[w]):
                 if val[w] != level:

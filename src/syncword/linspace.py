@@ -99,31 +99,24 @@ def span_dimension(vectors: Sequence[Sequence]) -> int:
     return ech.dimension
 
 
-def standard_basis(n: int, k: int, fixed_col: int | None = None) -> list[FlatMatrix]:
-    """Basis of the row-functional matrices supported on k columns.
+def standard_basis(n: int, k: int) -> list[FlatMatrix]:
+    """Basis of the row-functional matrices supported on the first k columns.
 
     Returns the n(k-1) matrices with a single unit at (i, j) for each row i
-    and each non-fixed support column j (every other row's unit sits in
-    fixed_col), plus the matrix with all units in fixed_col: n(k-1)+1
-    matrices in total, linearly independent.  The support is fixed_col plus
-    the k-1 smallest other column indices; by default fixed_col = k-1, so
-    the support is the first k columns.
+    and each column j < k-1 (every other row's unit sits in column k-1),
+    plus the matrix with all units in column k-1: n(k-1)+1 matrices in
+    total, linearly independent.
     """
     if not 1 <= k <= n:
         raise DfaError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if fixed_col is None:
-        fixed_col = k - 1
-    if not 0 <= fixed_col < n:
-        raise DfaError(f"fixed_col {fixed_col} out of range [0, {n})")
-    others = [j for j in range(n) if j != fixed_col][:k - 1]
 
     def unit_rows(i: int, j: int) -> FlatMatrix:
-        rows = [fixed_col] * n
+        rows = [k - 1] * n
         rows[i] = j
         return flatten(WordMatrix(tuple(rows)))
 
-    basis = [unit_rows(i, j) for j in others for i in range(n)]
-    basis.append(flatten(WordMatrix((fixed_col,) * n)))
+    basis = [unit_rows(i, j) for j in range(k - 1) for i in range(n)]
+    basis.append(flatten(WordMatrix((k - 1,) * n)))
     return basis
 
 

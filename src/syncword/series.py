@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Dfa, image, suffix_maps, word_map
+from .automaton import Dfa, suffix_maps, word_map
 from .errors import CheckFailure, DfaError
 from . import linspace
-from .word_matrix import matrix_of_word
+from .word_matrix import WordMatrix, matrix_of_word
 
 Profile = list[tuple[int, int]]
 
@@ -68,32 +68,34 @@ def threshold_count(profile: Profile, bound: int) -> int:
     return sum(1 for length, value in profile if length > 0 and value >= bound)
 
 
-def suffix_space_dimension(ctx: SeriesContext, s: Sequence[int], i: int) -> int:
-    """Exact dimension of span{ M_v : v a suffix of s, value(v) >= n-i }.
+def suffix_space_dimensions(ctx: SeriesContext, s: Sequence[int]) -> list[int]:
+    """Dimensions of span{ M_v : v a suffix of s, value(v) >= n-i }, i = 1..n-1.
 
-    Requires a singleton target, s synchronizing, and 1 <= i <= n-1.  The
-    dimension never exceeds (i-1)n+1: all qualifying suffix matrices share
+    Requires a singleton target and s synchronizing.  The exact dimension
+    at level i never exceeds (i-1)n+1: all qualifying suffix matrices share
     the column support of the shortest of them, which has at most i nonzero
-    columns; a dimension above that bound raises CheckFailure.
+    columns; the first level above that bound raises CheckFailure.  The
+    level sets nest, so one echelon grows through all of them.
     """
-    dfa = ctx.dfa
-    n = dfa.n
+    n = ctx.dfa.n
     if ctx.target_size != 1:
-        raise DfaError("suffix_space_dimension needs a singleton target set")
-    if not 1 <= i <= n - 1:
-        raise DfaError(f"need 1 <= i <= n-1, got i={i}")
-    s = dfa.check_word(s)
-    img = image(dfa, dfa.full_set, s)
-    if img & (img - 1):
+        raise DfaError("suffix_space_dimensions needs a singleton target set")
+    maps = suffix_maps(ctx.dfa, s)
+    if len(set(maps[0])) > 1:
         raise DfaError("word is not synchronizing")
+    profile = suffix_profile(ctx, s)
     ech = linspace.RowEchelon(n * n)
-    for length, value in suffix_profile(ctx, s):
-        if value >= n - i:
-            ech.add(linspace.flatten(matrix_of_word(dfa, s[len(s) - length:])))
-    dim = ech.dimension
-    if dim > (i - 1) * n + 1:
-        raise CheckFailure((dim, i, n))
-    return dim
+    dims = []
+    for i in range(1, n):
+        # values never exceed n-1, so level i adds exactly those of value n-i
+        for (_, value), f in zip(profile, reversed(maps)):
+            if value == n - i:
+                ech.add(linspace.flatten(WordMatrix(tuple(f))))
+        dim = ech.dimension
+        if dim > (i - 1) * n + 1:
+            raise CheckFailure((dim, i, n))
+        dims.append(dim)
+    return dims
 
 
 def series_linearity_check(
@@ -107,8 +109,6 @@ def series_linearity_check(
     combination of the parts' values.
     """
     dfa = ctx.dfa
-    target = dfa.check_word(target)
-    parts = [dfa.check_word(p) for p in parts]
     basis = [linspace.flatten(matrix_of_word(dfa, p)) for p in parts]
     d = linspace.decompose(linspace.flatten(matrix_of_word(dfa, target)), basis)
     if d is None:

@@ -182,18 +182,22 @@ def _preimage(f: Sequence[int], q: int) -> int:
     return out
 
 
-def q_equivalent(A: WordMatrix, B: WordMatrix, q: int) -> bool:
-    """Equal q-columns."""
+def _q_columns(A: WordMatrix, B: WordMatrix, q: int) -> tuple[int, int]:
+    """The q-columns of two matrices of the same size."""
     if A.n != B.n:
         raise DfaError(f"dimension mismatch: {A.n} vs {B.n}")
-    return q_column(A, q) == q_column(B, q)
+    return q_column(A, q), q_column(B, q)
+
+
+def q_equivalent(A: WordMatrix, B: WordMatrix, q: int) -> bool:
+    """Equal q-columns."""
+    a, b = _q_columns(A, B, q)
+    return a == b
 
 
 def q_preceq(B: WordMatrix, A: WordMatrix, q: int) -> bool:
     """Is the q-column of B contained in the q-column of A?"""
-    if A.n != B.n:
-        raise DfaError(f"dimension mismatch: {A.n} vs {B.n}")
-    b, a = q_column(B, q), q_column(A, q)
+    a, b = _q_columns(A, B, q)
     return b & ~a == 0
 
 
@@ -205,12 +209,11 @@ def left_stability_check(Ma: WordMatrix, Mu: WordMatrix, Mv: WordMatrix,
     M_v inside M_u's forces the same containment after prefixing a.  Both
     implications hold vacuously when the antecedent fails.
     """
-    ok = True
-    if q_equivalent(Mu, Mv, q):
-        ok = ok and q_equivalent(multiply(Ma, Mu), multiply(Ma, Mv), q)
-    if q_preceq(Mv, Mu, q):
-        ok = ok and q_preceq(multiply(Ma, Mv), multiply(Ma, Mu), q)
-    return ok
+    u, v = _q_columns(Mu, Mv, q)
+    if v & ~u:
+        return True
+    au, av = q_column(multiply(Ma, Mu), q), q_column(multiply(Ma, Mv), q)
+    return av & ~au == 0 and (u != v or au == av)
 
 
 def reset_collapse_check(Mt: WordMatrix, Mu: WordMatrix, Mv: WordMatrix,
@@ -221,7 +224,7 @@ def reset_collapse_check(Mt: WordMatrix, Mu: WordMatrix, Mv: WordMatrix,
     reset matrix targeting q, then M_tu must equal M_tv as a whole matrix.
     True when the implication holds (vacuously if premises fail).
     """
-    if not (q_equivalent(Mu, Mv, q) or q_preceq(Mv, Mu, q)):
+    if not q_preceq(Mv, Mu, q):
         return True
     Mtv = multiply(Mt, Mv)
     if q_column(Mtv, q) != (1 << Mt.n) - 1:
@@ -299,8 +302,6 @@ def suffix_distinctness_check(dfa: Dfa, s: Sequence[int], q: int) -> bool:
     for j1 in range(len(cols)):
         for j2 in range(j1 + 1, len(cols)):
             longer, shorter = cols[j1], cols[j2]
-            if longer == shorter:
-                return False
             if longer & ~shorter == 0:
                 return False
     return True
@@ -332,9 +333,7 @@ def near_sync_suffixes(dfa: Dfa, s: Sequence[int], q: int) -> list[Word]:
         raise CheckFailure((len(found), n))
     if len(set(astray)) != len(astray):
         raise CheckFailure(astray)
-    if found and not any(
-        image(dfa, full, (c,) + u) & (image(dfa, full, (c,) + u) - 1) == 0
-        for c in range(dfa.k) for u in found
-    ):
+    if found and not any(image(dfa, full, (c,) + u).bit_count() == 1
+                         for c in range(dfa.k) for u in found):
         raise CheckFailure("no letter completes a near-synchronizing suffix")
     return found

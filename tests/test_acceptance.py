@@ -16,7 +16,7 @@ from syncword import (Dfa, KARI_WORD, ROMAN_WORD, ScanConfig, SeriesContext,
                       near_sync_suffixes, reset_collapse_check,
                       roman_automaton, shortest_reset_word, span_dimension,
                       standard_basis, suffix_distinctness_check,
-                      suffix_profile, suffix_space_dimension, threshold_count,
+                      suffix_profile, suffix_space_dimensions, threshold_count,
                       word_matrix_span)
 from syncword.linspace import SpanSolver, coefficient_sum, flatten
 from syncword.word_matrix import matrix_of_word
@@ -175,8 +175,9 @@ def test_criterion_8_suffix_space_bounds():
     for d, s in cases:
         result = shortest_reset_word(d)
         ctx = SeriesContext.for_state(d, result.target)
-        for i in range(1, d.n):
-            dim = suffix_space_dimension(ctx, s, i)
+        dims = suffix_space_dimensions(ctx, s)
+        assert len(dims) == d.n - 1
+        for i, dim in enumerate(dims, start=1):
             assert dim <= (i - 1) * d.n + 1, (d.n, i, dim)
 
 

@@ -303,6 +303,35 @@ def test_examples_out_file(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# file errors end in exit 1 and one line on stderr, never a traceback
+
+def assert_one_line_error(code, out, err, kind):
+    assert code == 1 and out == ""
+    assert err.startswith(f"{kind} error: ") and err.count("\n") == 1
+
+
+def test_verify_on_a_directory(tmp_path, capsys):
+    assert_one_line_error(*run(capsys, "verify", str(tmp_path)), "parse")
+
+
+def test_input_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.dfa"
+    path.write_bytes(b"# \xe9tat\n2 1\n0 0\n")
+    assert_one_line_error(*run(capsys, "reset-word", str(path)), "parse")
+
+
+def test_out_in_a_missing_directory(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert_one_line_error(*run(capsys, "reset-word", "kari", "--out", str(path)),
+                          "usage")
+
+
+def test_scan_out_to_a_directory(tmp_path, capsys):
+    assert_one_line_error(*run(capsys, "scan", "--n", "2", "--k", "1",
+                               "--out", str(tmp_path)), "usage")
+
+
+# ---------------------------------------------------------------------------
 # usage errors
 
 def test_usage_error_exit_code(capsys):

@@ -212,9 +212,38 @@ def test_verify_builds_each_pool_word_matrix_once(monkeypatch):
             if value is real:
                 monkeypatch.setattr(mod, attr, counting)
     verify_automaton(dfa)
-    # suffixes of the reset word feed their own checks
-    pool = [w for w in _word_pool(dfa) if w != s[len(s) - len(w):]]
+    # suffix checks read one suffix_maps pass; only the reset matrix is extra
+    pool = set(_word_pool(dfa))
     assert {calls[w] for w in pool} == {1}
+    assert calls[s] == 1 and sum(calls.values()) == len(pool | {s})
+
+
+def test_suffix_space_check_adds_each_suffix_once(monkeypatch):
+    ctx = series.SeriesContext.for_state(automaton.kari_automaton(), 1)
+    echelons = []
+    real = linspace.RowEchelon.add
+
+    def counting(self, vec):
+        echelons.append(self)
+        return real(self, vec)
+
+    monkeypatch.setattr(linspace.RowEchelon, "add", counting)
+    assert enumeration.suffix_space_check(ctx, automaton.KARI_WORD) == (
+        True, "dims [1, 6, 9, 13, 19]")
+    profile = series.suffix_profile(ctx, automaton.KARI_WORD)
+    # one echelon grows through every level: one add per suffix of value >= 1
+    assert len(echelons) == sum(value >= 1 for _, value in profile) == 25
+    assert len({id(e) for e in echelons}) == 1
+
+
+def test_suffix_space_check_names_the_first_level_over_the_bound(monkeypatch):
+    # count every added suffix matrix as independent: the doubled kari word
+    # has 26 suffixes of value n-1 against a level-1 bound of 1
+    monkeypatch.setattr(linspace.RowEchelon, "add",
+                        lambda self, vec: self.pivot_rows.append((0, vec)))
+    ctx = series.SeriesContext.for_state(automaton.kari_automaton(), 1)
+    assert enumeration.suffix_space_check(ctx, automaton.KARI_WORD * 2) == (
+        False, "i=1: (26, 1, 6)")
 
 
 def test_verify_flags_unsynchronizable_automaton():

@@ -106,14 +106,9 @@ def test_standard_basis_removal_drops_dimension():
         assert span_dimension(b[:i] + b[i + 1:]) == full - 1
 
 
-def test_standard_basis_fixed_col_variants():
-    for fixed in range(4):
-        b = standard_basis(4, 2, fixed_col=fixed)
-        assert span_dimension(b) == 5
+def test_standard_basis_rejects_more_columns_than_states():
     with pytest.raises(DfaError):
         standard_basis(3, 4)
-    with pytest.raises(DfaError):
-        standard_basis(3, 2, fixed_col=9)
 
 
 def test_decompose_trivial():

@@ -7,7 +7,7 @@ from syncword import (DfaError, KARI_WORD, ROMAN_WORD, SeriesContext,
                       cerny_automaton, cerny_word, kari_automaton,
                       matrix_of_word, q_column, q_preceq, roman_automaton,
                       series_linearity_check, series_value, suffix_profile,
-                      suffix_space_dimension, threshold_count,
+                      suffix_space_dimensions, threshold_count,
                       word_matrix_span)
 
 from oracles import preimage_count
@@ -101,33 +101,28 @@ def test_cerny_profiles_have_n_consecutive_suffixes_per_level():
 
 
 def test_suffix_space_dimensions_frozen():
-    assert [suffix_space_dimension(kari_ctx(), KARI_WORD, i)
-            for i in range(1, 6)] == [1, 6, 9, 13, 19]
-    assert [suffix_space_dimension(roman_ctx(), ROMAN_WORD, i)
-            for i in range(1, 5)] == [1, 4, 8, 12]
+    assert suffix_space_dimensions(kari_ctx(), KARI_WORD) == [1, 6, 9, 13, 19]
+    assert suffix_space_dimensions(roman_ctx(), ROMAN_WORD) == [1, 4, 8, 12]
     c4 = SeriesContext.for_state(cerny_automaton(4), 1)
-    assert [suffix_space_dimension(c4, cerny_word(4), i)
-            for i in range(1, 4)] == [1, 5, 9]
+    assert suffix_space_dimensions(c4, cerny_word(4)) == [1, 5, 9]
 
 
 def test_suffix_space_dimension_bounds():
     ctx = kari_ctx()
     n = ctx.dfa.n
-    for i in range(1, n):
-        assert suffix_space_dimension(ctx, KARI_WORD, i) <= (i - 1) * n + 1
+    dims = suffix_space_dimensions(ctx, KARI_WORD)
+    assert len(dims) == n - 1
+    for i, dim in enumerate(dims, start=1):
+        assert dim <= (i - 1) * n + 1
 
 
 def test_suffix_space_dimension_preconditions():
     ctx = kari_ctx()
     with pytest.raises(DfaError):
-        suffix_space_dimension(ctx, (0, 1), 2)  # not synchronizing
-    with pytest.raises(DfaError):
-        suffix_space_dimension(ctx, KARI_WORD, 0)
-    with pytest.raises(DfaError):
-        suffix_space_dimension(ctx, KARI_WORD, 6)
+        suffix_space_dimensions(ctx, (0, 1))  # not synchronizing
     wide = SeriesContext(kari_automaton(), 0b11)
     with pytest.raises(DfaError):
-        suffix_space_dimension(wide, KARI_WORD, 2)
+        suffix_space_dimensions(wide, KARI_WORD)
 
 
 def test_linearity_trivial_and_not_applicable():

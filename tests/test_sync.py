@@ -6,13 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from syncword import (CapacityError, CheckFailure, Dfa, DfaError, KARI_WORD,
                       ROMAN_WORD,
-                      WordMatrix, cerny_automaton, cerny_word, image,
+                      WordMatrix, cerny_automaton, cerny_word, identity, image,
                       is_irreducible, is_synchronizing, kari_automaton,
                       left_stability_check, matrix_of_word, multiply,
                       near_sync_suffixes, q_column, q_equivalent, q_preceq,
                       reduce_word, reset_collapse_check, roman_automaton,
                       shortest_reset_word, suffix_distinctness_check,
                       word_from_str)
+from syncword import sync
 from syncword.sync import _removable_split
 
 from oracles import (brute_minimal_reset, brute_reduce, brute_removable_split,
@@ -212,6 +213,55 @@ def test_reset_collapse_nonvacuous_instance():
 def test_reset_collapse_vacuous_cases():
     d = roman_automaton()
     assert reset_collapse_check(*(matrix_of_word(d, (c,)) for c in range(3)), 0)
+
+
+def _reversed_composition(A, B):
+    # row i of A·B is B.rows[A.rows[i]]; this reads the factors the other way
+    return WordMatrix(tuple(A.rows[j] for j in B.rows))
+
+
+def test_left_stability_fails_under_a_wrong_composition(monkeypatch):
+    d = cerny_automaton(3)
+    Ma, Mu, Mv = (matrix_of_word(d, word_from_str(w)) for w in ("a", "", "b"))
+    assert q_equivalent(Mu, Mv, 2)  # the premise holds
+    assert left_stability_check(Ma, Mu, Mv, 2)
+    monkeypatch.setattr(sync, "multiply", _reversed_composition)
+    assert not left_stability_check(Ma, Mu, Mv, 2)
+
+
+def test_reset_collapse_fails_under_a_wrong_composition(monkeypatch):
+    d = cerny_automaton(3)
+    Mt, Mu, Mv = (matrix_of_word(d, word_from_str(w))
+                  for w in ("a", "", "baab"))
+    assert q_preceq(Mv, Mu, 2)  # the premise holds
+    assert reset_collapse_check(Mt, Mu, Mv, 2)
+    monkeypatch.setattr(sync, "multiply", _reversed_composition)
+    assert not reset_collapse_check(Mt, Mu, Mv, 2)
+
+
+def test_q_relation_checks_reject_bad_q_and_sizes():
+    E3, E4 = identity(3), identity(4)
+    for check in (left_stability_check, reset_collapse_check):
+        with pytest.raises(DfaError):
+            check(E3, E3, E3, 3)
+        with pytest.raises(DfaError):
+            check(E3, E3, E4, 0)
+        with pytest.raises(DfaError):
+            check(E3, E4, E3, 0)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.integers(0, n - 1))))
+def test_q_column_of_a_product_is_a_preimage(case):
+    # both q-relation checks rest on this: col_q(A·B) = {p : A.rows[p] in col_q(B)}
+    a, b, q = case
+    A, B = WordMatrix(tuple(a)), WordMatrix(tuple(b))
+    col = q_column(B, q)
+    expected = sum(1 << p for p, t in enumerate(a) if col >> t & 1)
+    assert q_column(multiply(A, B), q) == expected
 
 
 # ---------------------------------------------------------------------------
