@@ -25,7 +25,7 @@ from .sync import (ResetResult, is_irreducible, is_synchronizing,
                    q_equivalent, q_preceq, reduce_word, reset_collapse_check,
                    shortest_reset_word, suffix_distinctness_check)
 from .enumeration import (CheckResult, ScanConfig, ScanReport, canonical_flat,
-                          enumerate_dfas, extremal_scan,
+                          claim_checks, enumerate_dfas, extremal_scan,
                           independent_suffix_length,
                           suffix_closed_dimension_check, verify_automaton,
                           verify_example_suite)

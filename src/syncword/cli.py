@@ -1,7 +1,7 @@
 """Command-line front end: reset words, profiles, verification and scans.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain negative (automaton
-is not synchronizing, or a verification check failed), 3 capacity exceeded.
+is not synchronizing, or a check or claim failed), 3 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -107,27 +107,14 @@ def cmd_reset_word(args) -> int:
     if args.show_matrix:
         payload["matrix"] = dense(matrix_of_word(dfa, result.word))
     if args.check_lemmas:
-        s, q = result.word, result.target
-        checks = [
-            ("irreducible", sync.is_irreducible(dfa, s, q)),
-            ("suffix-distinct", sync.suffix_distinctness_check(dfa, s, q)),
-            ("near-sync-suffixes", enumeration.near_sync_check(dfa, s, q)[0]),
-            ("suffix-space-bound", enumeration.suffix_space_check(ctx, s)[0]),
-        ]
-        # collapse implication over every split s = t.v of the found word
-        probes = [(), (0,), (1,)] if dfa.k >= 2 else [(), (0,)]
-        collapse_ok = all(
-            sync.reset_collapse_check(matrix_of_word(dfa, s[:i]),
-                                      matrix_of_word(dfa, u),
-                                      matrix_of_word(dfa, s[i:]), q)
-            for i in range(len(s) + 1) for u in probes + [s[i:]])
-        checks.append(("reset-collapse", collapse_ok))
-        payload["checks"] = [{"name": name, "passed": passed}
-                             for name, passed in checks]
+        payload["checks"] = [{"name": r.name, "passed": r.passed}
+                             for r in enumeration.claim_checks(dfa, result)]
+    code = (EXIT_OK if all(c["passed"] for c in payload.get("checks", ()))
+            else EXIT_NEGATIVE)
 
     if args.json:
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return EXIT_OK
+        return code
 
     lines = [f"automaton: {args.input} (n={dfa.n}, k={dfa.k})",
              "synchronizing: yes",
@@ -145,7 +132,7 @@ def cmd_reset_word(args) -> int:
     if args.profile:
         out += _profile_lines(dfa, series.suffix_profile(ctx, result.word), False)
     _emit(out, args.out)
-    return EXIT_OK
+    return code
 
 
 def cmd_profile(args) -> int:
@@ -204,6 +191,9 @@ def cmd_scan(args) -> int:
         require_strongly_connected=args.strongly_connected,
         worker_count=args.workers,
         canonicalize=args.canonical)
+    cfg.check_guard()
+    if args.out:
+        _emit("", args.out)  # an unwritable path fails before the scan
     report = enumeration.extremal_scan(cfg)
     if args.out:
         _emit(report.to_json(), args.out)
@@ -247,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="append the suffix profile of the word")
     p.add_argument("--check-lemmas", action="store_true",
-                   help="run the structural checks on the found word")
+                   help="check the paper's claims about the found word")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reset_word)

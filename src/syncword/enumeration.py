@@ -318,22 +318,6 @@ def suffix_closed_dimension_check(dfa: Dfa, s: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # the assertion battery
 
-def suffix_space_check(ctx: series.SeriesContext, s: Word) -> tuple[bool, str]:
-    """(passed, detail) of suffix_space_dimensions over levels 1..n-1."""
-    try:
-        return True, f"dims {series.suffix_space_dimensions(ctx, s)}"
-    except CheckFailure as e:
-        return False, f"i={e.args[0][1]}: {e}"
-
-
-def near_sync_check(dfa: Dfa, s: Word, q: int) -> tuple[bool, str]:
-    """(passed, detail) of near_sync_suffixes on a minimal reset word."""
-    try:
-        return True, f"{len(sync.near_sync_suffixes(dfa, s, q))} suffixes"
-    except CheckFailure as e:
-        return False, str(e)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -342,6 +326,29 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
+
+
+def claim_checks(dfa: Dfa, best: sync.ResetResult) -> list[CheckResult]:
+    """The paper's claims about the minimal reset word of a search result.
+
+    The suffix-space bound, irreducibility, distinct suffix q-columns and
+    the near-synchronizing suffixes, in the battery's order; shared by
+    `verify` and `reset-word --check-lemmas`.
+    """
+    s, q = best.word, best.target
+    ctx = series.SeriesContext.for_state(dfa, q)
+    try:
+        space = True, f"dims {series.suffix_space_dimensions(ctx, s)}"
+    except CheckFailure as e:
+        space = False, f"i={e.args[0][1]}: {e}"
+    try:
+        near = True, f"{len(sync.near_sync_suffixes(dfa, best))} suffixes"
+    except CheckFailure as e:
+        near = False, str(e)
+    return [CheckResult("suffix-space-bound", *space),
+            CheckResult("irreducible", sync.is_irreducible(dfa, s, q)),
+            CheckResult("suffix-distinct", sync.suffix_distinctness_check(dfa, s, q)),
+            CheckResult("near-sync-suffixes", *near)]
 
 
 def _word_pool(dfa: Dfa) -> list[Word]:
@@ -481,12 +488,8 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
             break
     check("span-word-stability", ok)
 
-    check("suffix-space-bound", *suffix_space_check(ctx, s_min))
-
-    # irreducibility facts about the minimal word
-    check("irreducible", sync.is_irreducible(dfa, s_min, q))
-    check("suffix-distinct", sync.suffix_distinctness_check(dfa, s_min, q))
-    check("near-sync-suffixes", *near_sync_check(dfa, s_min, q))
+    # the paper's claims about the minimal word
+    results += claim_checks(dfa, best)
     check("suffix-independence", suffix_closed_dimension_check(dfa, s_min))
 
     # left stability and reset collapse over sampled triples

@@ -13,6 +13,7 @@ import os
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .automaton import Dfa, Word, image, suffix_maps
@@ -23,9 +24,7 @@ DEFAULT_SUBSET_LIMIT = 24
 SUBSET_LIMIT_ENV = "SYNCWORD_SUBSET_LIMIT"
 
 
-def _subset_limit(limit: int | None) -> int:
-    if limit is not None:
-        return limit
+def _subset_limit() -> int:
     env = os.environ.get(SUBSET_LIMIT_ENV)
     if env:
         try:
@@ -98,7 +97,7 @@ def _chunk_tables(row: Sequence[int], n: int, width: int) -> tuple[list[int], ..
     return tuple(tables)
 
 
-def shortest_reset_word(dfa: Dfa, limit: int | None = None) -> ResetResult | None:
+def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     """BFS over the subset automaton from the full set to any singleton.
 
     Returns None when the automaton is not synchronizing.  Among minimal
@@ -106,8 +105,7 @@ def shortest_reset_word(dfa: Dfa, limit: int | None = None) -> ResetResult | Non
     level is expanded in discovery order with letters ascending, so subsets
     are discovered in lex order of their least shortest incoming words.
     Raises CapacityError when n exceeds the subset cap (default 24,
-    overridable via the SYNCWORD_SUBSET_LIMIT environment variable or
-    `limit`).
+    overridable via the SYNCWORD_SUBSET_LIMIT environment variable).
 
     Cost: the image of a subset is the OR of three table lookups, one per
     chunk of w = max(8, ceil(n/3)) states, so for n <= 24 each letter has
@@ -118,7 +116,7 @@ def shortest_reset_word(dfa: Dfa, limit: int | None = None) -> ResetResult | Non
     19 MB peak under tracemalloc).
     """
     n = dfa.n
-    cap = _subset_limit(limit)
+    cap = _subset_limit()
     if n > cap:
         raise CapacityError(f"subset BFS over 2^{n} states exceeds cap {cap}")
     full = dfa.full_set
@@ -235,23 +233,29 @@ def reset_collapse_check(Mt: WordMatrix, Mu: WordMatrix, Mv: WordMatrix,
 # ---------------------------------------------------------------------------
 # irreducibility
 
-def _check_sync_to(dfa: Dfa, s: Sequence[int], q: int) -> Word:
+def _suffix_columns(dfa: Dfa, s: Sequence[int], q: int) -> tuple[Word, list[int]]:
+    """The validated word and its suffix q-columns: entry j belongs to s[j:].
+
+    Raises DfaError unless s resets every state to q, that is unless the
+    q-column of the whole word is full.
+    """
     s = dfa.check_word(s)
     if not 0 <= q < dfa.n:
         raise DfaError(f"state {q} out of range [0, {dfa.n})")
-    if image(dfa, dfa.full_set, s) != 1 << q:
+    cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
+    if cols[0] != dfa.full_set:
         raise DfaError("word does not reset the automaton to the given state")
-    return s
+    return s, cols
 
 
-def _removable_split(dfa: Dfa, s: Word, q: int) -> tuple[int, int] | None:
+def _removable_split(dfa: Dfa, s: Sequence[int], q: int) -> tuple[int, int] | None:
     """Leftmost-longest (i, j) with s[i:j] nonempty and M_{s[:i] s[j:]} ~q M_s,
     or None when s is irreducible.
 
     M_s has a full q-column, so the split is removable exactly when the
     image of all states under s[:i] lies inside the q-column of s[j:].
     """
-    cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
+    s, cols = _suffix_columns(dfa, s, q)
     img = dfa.full_set
     for i in range(len(s)):
         for j in range(len(s), i, -1):
@@ -267,7 +271,6 @@ def is_irreducible(dfa: Dfa, s: Sequence[int], q: int) -> bool:
     Since M_s has a full q-column, a collapse means u v alone already resets
     everything to q; all O(|s|^2) split pairs are checked.
     """
-    s = _check_sync_to(dfa, s, q)
     return _removable_split(dfa, s, q) is None
 
 
@@ -278,13 +281,11 @@ def reduce_word(dfa: Dfa, s: Sequence[int], q: int) -> Word:
     q-column intact (deterministic greedy order); the result still resets
     to q and is never longer than s.
     """
-    s = _check_sync_to(dfa, s, q)
-    while True:
-        split = _removable_split(dfa, s, q)
-        if split is None:
-            return s
+    s = tuple(s)
+    while (split := _removable_split(dfa, s, q)) is not None:
         i, j = split
         s = s[:i] + s[j:]
+    return s
 
 
 def suffix_distinctness_check(dfa: Dfa, s: Sequence[int], q: int) -> bool:
@@ -296,41 +297,32 @@ def suffix_distinctness_check(dfa: Dfa, s: Sequence[int], q: int) -> bool:
     word (a repeated reset word, say) fails it, consistently with
     is_irreducible.
     """
-    s = _check_sync_to(dfa, s, q)
-    cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
-    # cols[j] belongs to suffix s[j:]; smaller j = longer suffix
-    for j1 in range(len(cols)):
-        for j2 in range(j1 + 1, len(cols)):
-            longer, shorter = cols[j1], cols[j2]
-            if longer & ~shorter == 0:
-                return False
-    return True
+    _, cols = _suffix_columns(dfa, s, q)
+    # cols[j] belongs to suffix s[j:]; pairs come longer suffix first
+    return all(longer & ~shorter for longer, shorter in combinations(cols, 2))
 
 
-def near_sync_suffixes(dfa: Dfa, s: Sequence[int], q: int) -> list[Word]:
+def near_sync_suffixes(dfa: Dfa, best: ResetResult) -> list[Word]:
     """Suffixes of a minimal reset word whose value is n-2: one state astray.
 
-    Each such suffix maps all states but one to q.  Postconditions checked
-    here: there are at most n of them, the astray states are pairwise
-    distinct, and (when any exist) some letter prefixed to one of them
-    already synchronizes; a failed postcondition raises CheckFailure.
+    `best` is the result of shortest_reset_word, whose word is minimal;
+    its word must reset to its target, else DfaError.  Each suffix found
+    maps all states but one to the target.  Postconditions checked here:
+    there are at most n of them, the astray states are pairwise distinct,
+    and (when any exist) some letter prefixed to one of them already
+    synchronizes; a failed postcondition raises CheckFailure.
     """
-    s = _check_sync_to(dfa, s, q)
-    best = shortest_reset_word(dfa)
-    if best is None or best.length != len(s):
-        raise DfaError("word is not a minimal reset word")
-    n = dfa.n
+    s, cols = _suffix_columns(dfa, best.word, best.target)
     full = dfa.full_set
     found: list[Word] = []
     astray: list[int] = []
-    cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
     for j in range(len(s), -1, -1):
         odd = full & ~cols[j]
         if odd.bit_count() == 1:
             found.append(s[j:])
             astray.append(odd.bit_length() - 1)
-    if len(found) > n:
-        raise CheckFailure((len(found), n))
+    if len(found) > dfa.n:
+        raise CheckFailure((len(found), dfa.n))
     if len(set(astray)) != len(astray):
         raise CheckFailure(astray)
     if found and not any(image(dfa, full, (c,) + u).bit_count() == 1

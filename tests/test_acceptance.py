@@ -163,7 +163,7 @@ def test_criterion_7_minimal_word_structure():
         s, q = result.word, result.target
         assert is_irreducible(d, s, q)
         assert suffix_distinctness_check(d, s, q)
-        near = near_sync_suffixes(d, s, q)  # asserts count, rows, completion
+        near = near_sync_suffixes(d, result)  # count, rows, completion
         assert len(near) <= d.n
 
 

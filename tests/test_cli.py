@@ -48,6 +48,58 @@ def test_reset_word_show_matrix_and_checks(capsys):
     assert "[PASS] near-sync-suffixes" in out
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_reset_word_exits_2_when_a_claim_fails(tmp_path, capsys, flags):
+    # the near-sync completion claim fails on this table's minimal word aba
+    path = tmp_path / "near.dfa"
+    path.write_text("4 2\n0 0 0 3\n0 3 3 1\n")
+    code, out, _ = run(capsys, "reset-word", str(path), "--check-lemmas", *flags)
+    assert code == 2
+    if flags:
+        assert json.loads(out)["checks"] == [
+            {"name": "suffix-space-bound", "passed": True},
+            {"name": "irreducible", "passed": True},
+            {"name": "suffix-distinct", "passed": True},
+            {"name": "near-sync-suffixes", "passed": False}]
+    else:
+        assert "[FAIL] near-sync-suffixes" in out
+        assert "reset-collapse" not in out
+    # without the claims the same table is a plain success
+    assert run(capsys, "reset-word", str(path), *flags)[0] == 0
+
+
+def count_calls(monkeypatch, real):
+    """Rebind every import of `real` in the package to a call counter."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in vars(syncword).values():
+        if getattr(mod, "__name__", "").startswith("syncword."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["verify", "kari"],
+                                  ["reset-word", "cerny:16", "--check-lemmas"]])
+def test_one_reset_search_per_command(monkeypatch, capsys, argv):
+    calls = count_calls(monkeypatch, syncword.sync.shortest_reset_word)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == 1
+
+
+def test_check_lemmas_builds_no_extra_word_matrices(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, syncword.word_matrix.matrix_of_word)
+    assert run(capsys, "reset-word", "kari")[0] == 0
+    plain = len(calls)
+    assert run(capsys, "reset-word", "kari", "--check-lemmas")[0] == 0
+    assert len(calls) - plain <= plain
+
+
 def test_reset_word_profile_chain(capsys):
     code, out, _ = run(capsys, "reset-word", "roman", "--profile")
     assert code == 0
@@ -329,6 +381,22 @@ def test_out_in_a_missing_directory(tmp_path, capsys):
 def test_scan_out_to_a_directory(tmp_path, capsys):
     assert_one_line_error(*run(capsys, "scan", "--n", "2", "--k", "1",
                                "--out", str(tmp_path)), "usage")
+
+
+def test_scan_out_is_checked_before_the_scan(tmp_path, capsys, monkeypatch):
+    def no_scan(cfg):
+        raise AssertionError("scanned before checking --out")
+
+    monkeypatch.setattr(syncword.enumeration, "extremal_scan", no_scan)
+    assert_one_line_error(*run(capsys, "scan", "--n", "4", "--k", "2",
+                               "--out", str(tmp_path)), "usage")
+
+
+def test_scan_capacity_error_writes_no_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, _, err = run(capsys, "scan", "--n", "7", "--k", "3", "--out", str(path))
+    assert code == 3 and err.startswith("capacity error: ")
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from itertools import permutations
 
 import pytest
 
-from syncword import (CapacityError, Dfa, ScanConfig, canonical_flat,
+from syncword import (CapacityError, CheckResult, Dfa, ResetResult,
+                      ScanConfig, canonical_flat, claim_checks,
                       cerny_automaton, cerny_word, enumerate_dfas,
                       extremal_scan, independent_suffix_length,
                       is_strongly_connected, shortest_reset_word,
@@ -219,7 +220,8 @@ def test_verify_builds_each_pool_word_matrix_once(monkeypatch):
 
 
 def test_suffix_space_check_adds_each_suffix_once(monkeypatch):
-    ctx = series.SeriesContext.for_state(automaton.kari_automaton(), 1)
+    kari = automaton.kari_automaton()
+    ctx = series.SeriesContext.for_state(kari, 1)
     echelons = []
     real = linspace.RowEchelon.add
 
@@ -228,8 +230,9 @@ def test_suffix_space_check_adds_each_suffix_once(monkeypatch):
         return real(self, vec)
 
     monkeypatch.setattr(linspace.RowEchelon, "add", counting)
-    assert enumeration.suffix_space_check(ctx, automaton.KARI_WORD) == (
-        True, "dims [1, 6, 9, 13, 19]")
+    best = ResetResult(automaton.KARI_WORD, 25, 1, 0)
+    assert claim_checks(kari, best)[0] == CheckResult(
+        "suffix-space-bound", True, "dims [1, 6, 9, 13, 19]")
     profile = series.suffix_profile(ctx, automaton.KARI_WORD)
     # one echelon grows through every level: one add per suffix of value >= 1
     assert len(echelons) == sum(value >= 1 for _, value in profile) == 25
@@ -241,9 +244,55 @@ def test_suffix_space_check_names_the_first_level_over_the_bound(monkeypatch):
     # has 26 suffixes of value n-1 against a level-1 bound of 1
     monkeypatch.setattr(linspace.RowEchelon, "add",
                         lambda self, vec: self.pivot_rows.append((0, vec)))
-    ctx = series.SeriesContext.for_state(automaton.kari_automaton(), 1)
-    assert enumeration.suffix_space_check(ctx, automaton.KARI_WORD * 2) == (
-        False, "i=1: (26, 1, 6)")
+    best = ResetResult(automaton.KARI_WORD * 2, 50, 1, 0)
+    assert claim_checks(automaton.kari_automaton(), best)[0] == CheckResult(
+        "suffix-space-bound", False, "i=1: (26, 1, 6)")
+
+
+def test_claim_checks_are_the_battery_entries():
+    for name in ("cerny:4", "kari", "near-sync"):
+        dfa = (Dfa(4, 2, ((0, 0, 0, 3), (0, 3, 3, 1))) if name == "near-sync"
+               else automaton.builtin_automaton(name))
+        claims = claim_checks(dfa, shortest_reset_word(dfa))
+        assert [r.name for r in claims] == [
+            "suffix-space-bound", "irreducible", "suffix-distinct",
+            "near-sync-suffixes"]
+        battery = verify_automaton(dfa, EXAMPLE_EXPECTATIONS.get(name))
+        at = [r.name for r in battery].index("suffix-space-bound")
+        assert battery[at:at + 4] == claims
+
+
+# the canonical synchronizing n=4 k=2 tables whose minimal reset word has
+# near-synchronizing suffixes that no letter completes
+NEAR_SYNC_FAILURES = [
+    (0, 0, 0, 3, 0, 3, 3, 1), (0, 0, 0, 3, 1, 3, 3, 0),
+    (0, 0, 0, 3, 1, 3, 3, 2), (0, 0, 0, 3, 3, 0, 0, 1),
+    (0, 0, 2, 2, 2, 0, 1, 0), (0, 2, 1, 1, 0, 1, 0, 0),
+    (0, 2, 1, 1, 1, 0, 1, 1), (1, 0, 0, 0, 1, 2, 0, 0),
+    (1, 0, 0, 0, 2, 0, 1, 1), (1, 0, 0, 0, 2, 1, 0, 0),
+    (1, 0, 0, 0, 2, 3, 0, 0), (1, 0, 0, 1, 1, 3, 0, 0),
+    (1, 2, 0, 0, 0, 1, 0, 0), (1, 2, 0, 0, 0, 1, 0, 1),
+    (1, 2, 0, 0, 0, 1, 1, 1), (1, 2, 0, 0, 1, 0, 0, 0),
+    (1, 2, 0, 0, 1, 0, 1, 0), (1, 2, 0, 0, 1, 0, 1, 1),
+]
+
+
+def test_claims_over_every_canonical_four_state_two_letter_class():
+    synchronizing = 0
+    failures = []
+    for dfa in enumerate_dfas(ScanConfig(4, 2, canonicalize=True)):
+        best = shortest_reset_word(dfa)
+        if best is None:
+            continue
+        synchronizing += 1
+        failed = [r for r in claim_checks(dfa, best) if not r.passed]
+        if failed:
+            assert [(r.name, r.detail) for r in failed] == [
+                ("near-sync-suffixes",
+                 "no letter completes a near-synchronizing suffix")]
+            failures.append(dfa_to_flat(dfa))
+    assert synchronizing == 2185
+    assert failures == NEAR_SYNC_FAILURES
 
 
 def test_verify_flags_unsynchronizable_automaton():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from syncword import (CapacityError, CheckFailure, Dfa, DfaError, KARI_WORD,
-                      ROMAN_WORD,
+                      ROMAN_WORD, ResetResult,
                       WordMatrix, cerny_automaton, cerny_word, identity, image,
                       is_irreducible, is_synchronizing, kari_automaton,
                       left_stability_check, matrix_of_word, multiply,
@@ -113,14 +113,15 @@ def test_states_expanded_pinned():
     assert shortest_reset_word(cerny_automaton(18)).states_expanded == 262_125
 
 
-def test_search_beyond_byte_chunks():
+def test_search_beyond_byte_chunks(monkeypatch):
     # above 24 states the three chunks widen past a byte
     rng = Random(31)
     d = Dfa(30, 2, tuple(tuple(rng.randrange(30) for _ in range(30))
                          for _ in range(2)))
     with pytest.raises(CapacityError):
         shortest_reset_word(d)
-    result = shortest_reset_word(d, limit=30)
+    monkeypatch.setenv("SYNCWORD_SUBSET_LIMIT", "30")
+    result = shortest_reset_word(d)
     assert result.length == 12
     assert result.word == frozenset_minimal_reset(d)
 
@@ -140,7 +141,8 @@ def test_capacity_cap(monkeypatch):
     monkeypatch.setenv("SYNCWORD_SUBSET_LIMIT", "not-a-number")
     with pytest.raises(DfaError):
         shortest_reset_word(cerny_automaton(4))
-    assert shortest_reset_word(cerny_automaton(4), limit=4) is not None
+    monkeypatch.setenv("SYNCWORD_SUBSET_LIMIT", "4")
+    assert shortest_reset_word(cerny_automaton(4)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +370,33 @@ def test_suffix_distinctness_fails_with_repeat():
 
 def test_near_sync_suffixes_cerny4():
     d = cerny_automaton(4)
-    out = near_sync_suffixes(d, cerny_word(4), 1)
+    out = near_sync_suffixes(d, shortest_reset_word(d))
     assert [len(u) for u in out] == [5, 6, 7, 8]
     assert len(out) <= 4
 
 
 def test_near_sync_suffixes_kari_roman():
-    out = near_sync_suffixes(kari_automaton(), KARI_WORD, 1)
+    out = near_sync_suffixes(kari_automaton(), ResetResult(KARI_WORD, 25, 1, 0))
     assert [len(u) for u in out] == [18, 19, 22, 23, 24]
-    out = near_sync_suffixes(roman_automaton(), ROMAN_WORD, 4)
+    out = near_sync_suffixes(roman_automaton(), ResetResult(ROMAN_WORD, 16, 4, 0))
     assert [len(u) for u in out] == [13, 14, 15]
 
 
 def test_near_sync_letter_completion():
     d = cerny_automaton(4)
-    out = near_sync_suffixes(d, cerny_word(4), 1)
+    out = near_sync_suffixes(d, shortest_reset_word(d))
     completions = [(c,) + u for c in range(d.k) for u in out]
     assert any(image(d, d.full_set, w).bit_count() == 1 for w in completions)
 
 
-def test_near_sync_requires_minimal_word():
+def test_near_sync_rejects_a_result_that_does_not_reset_to_its_target():
     d = cerny_automaton(4)
-    padded = cerny_word(4)[:1] + (0, 0, 0, 0) + cerny_word(4)[1:]
-    with pytest.raises(DfaError):
-        near_sync_suffixes(d, padded, 1)
+    best = shortest_reset_word(d)
+    for wrong in (ResetResult(best.word, best.length, 0, 0),
+                  ResetResult(best.word[1:], best.length - 1, best.target, 0),
+                  ResetResult(best.word, best.length, d.n, 0)):
+        with pytest.raises(DfaError):
+            near_sync_suffixes(d, wrong)
 
 
 def test_near_sync_completion_failure_is_raised():
@@ -400,11 +405,11 @@ def test_near_sync_completion_failure_is_raised():
     r = shortest_reset_word(d)
     assert r.word == word_from_str("aba")
     with pytest.raises(CheckFailure, match="no letter completes"):
-        near_sync_suffixes(d, r.word, r.target)
+        near_sync_suffixes(d, r)
 
 
 def test_two_state_degenerate_case():
     d = cerny_automaton(2)
     r = shortest_reset_word(d)
     assert r.word == word_from_str("b") and r.target == 1
-    assert near_sync_suffixes(d, r.word, 1) == [()]
+    assert near_sync_suffixes(d, r) == [()]
