@@ -97,6 +97,39 @@ def canonical_flat(flat: Sequence[int], n: int, k: int) -> tuple[int, ...]:
     return min(relabel_flat(flat, n, k, perm) for perm in permutations(range(n)))
 
 
+# (perm, src): entry j of the relabeled table is perm[flat[src[j]]]
+Relabeling = tuple[tuple[int, ...], list[int]]
+
+
+def _relabelings(n: int, k: int) -> list[Relabeling]:
+    """Every relabeling but the identity, as (perm, src) pairs."""
+    out = []
+    for perm in permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        inv = [0] * n
+        for old, new in enumerate(perm):
+            inv[new] = old
+        out.append((perm, [c * n + inv[q] for c in range(k) for q in range(n)]))
+    return out
+
+
+def _is_canonical(flat: Sequence[int], relabelings: list[Relabeling]) -> bool:
+    """Is the table no greater than any of its relabelings?
+
+    Equivalent to tuple(flat) == canonical_flat(flat, n, k), but each
+    relabeling is compared entry by entry only up to its first difference.
+    """
+    for perm, src in relabelings:
+        for j, s in enumerate(src):
+            t = perm[flat[s]]
+            if t != flat[j]:
+                if t < flat[j]:
+                    return False
+                break
+    return True
+
+
 def _filtered_tables(n: int, k: int, require_sc: bool, canonical: bool,
                      start: int, end: int) -> Iterator[list[int]]:
     """Flat tables of indices [start, end) that pass the filters, in index order.
@@ -104,10 +137,11 @@ def _filtered_tables(n: int, k: int, require_sc: bool, canonical: bool,
     One list is incremented in place as a base-n numeral and yielded each
     time; a caller that keeps a table must copy it.
     """
+    relabelings = _relabelings(n, k) if canonical else []
     flat = index_to_flat(start, n, k)
     for _ in range(start, end):
-        if ((not require_sc or table_strongly_connected(flat, n))
-                and (not canonical or tuple(flat) == canonical_flat(flat, n, k))):
+        if ((not canonical or _is_canonical(flat, relabelings))
+                and (not require_sc or table_strongly_connected(flat, n))):
             yield flat
         pos = n * k - 1
         while pos >= 0:

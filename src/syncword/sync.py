@@ -109,11 +109,23 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
 
     Cost: the image of a subset is the OR of three table lookups, one per
     chunk of w = max(8, ceil(n/3)) states, so for n <= 24 each letter has
-    three tables of at most 2^8 entries, built once per call.  Memory grows
-    by about 70 bytes per visited subset: its int and slot in the `seen`
-    set (about 60), an 8-byte predecessor code kept until the search ends,
-    and a list slot while its level is current (cerny:18, 262,125 subsets:
-    19 MB peak under tracemalloc).
+    three tables of at most 2^8 entries, built once per call.
+
+    Memory: visited subsets start in a `set`, about 64 bytes each (the int
+    and its slot).  At the first level boundary where the set takes more
+    than a visited map would, 64 * visited > 2^n, they move to a map of one
+    byte per possible subset, so short searches never allocate it.  The
+    level that crosses that line adds at most k subsets per subset it
+    expands, so the set never holds more than (k + 1) * 2^n / 64 subsets
+    (nor more than 2^n).  Every visited subset also keeps a predecessor
+    code of c = 4 bytes (c = 8 once 2^n * k >= 2^31) until the search ends,
+    and costs about 40 bytes (an int and a list slot) while it is in the
+    current or the next level; two consecutive levels hold fewer than 2^n
+    subsets.  The worst case is thus about (min(k, 63) + 2 + c + 40) * 2^n
+    bytes, set and map included: 768 MiB for k = 2 at the default cap
+    n = 24, so the cap is the memory limit.  Real frontiers are far
+    smaller: cerny:18 (262,125 subsets) peaks at 2.0 MiB under tracemalloc,
+    and cerny:22 (4,194,281 subsets) at 45 MiB peak RSS.
     """
     n = dfa.n
     cap = _subset_limit()
@@ -126,39 +138,67 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     width = max(8, -(-n // 3))
     low, high = (1 << width) - 1, 2 * width
     letters = [_chunk_tables(row, n, width) for row in dfa.delta]
-    seen = {full}
+    # codes parent_index * k + letter stay below 2^n * k
+    code_type = "i" if (full + 1) * k < 1 << 31 else "q"
+    seen: set[int] | None = {full}
+    visited = bytearray()
     level = [full]
     # preds[d][i] = parent_index * k + letter for the i-th subset of level d+1
     preds: list[array] = []
     expanded = 0
     while level:
+        if seen is not None and len(seen) << 6 > full:
+            visited = bytearray(full + 1)
+            for mask in seen:
+                visited[mask] = 1
+            seen = None
         nxt: list[int] = []
-        back = array("q")
-        add, push, link = seen.add, nxt.append, back.append
+        back = array(code_type)
+        push, link = nxt.append, back.append
         code = 0
-        for mask in level:
-            b0, b1, b2 = mask & low, mask >> width & low, mask >> high
-            for t0, t1, t2 in letters:
-                t = t0[b0] | t1[b1] | t2[b2]
-                if t not in seen:
-                    if t & (t - 1) == 0:
-                        word = [code % k]
-                        i = code // k
-                        for codes in reversed(preds):
-                            word.append(codes[i] % k)
-                            i = codes[i] // k
-                        word.reverse()
-                        return ResetResult(tuple(word), len(word),
-                                           t.bit_length() - 1,
-                                           expanded + code // k + 1)
-                    add(t)
-                    push(t)
-                    link(code)
-                code += 1
+        # one copy of the loop per store keeps the visited test inline
+        if seen is not None:
+            add = seen.add
+            for mask in level:
+                b0, b1, b2 = mask & low, mask >> width & low, mask >> high
+                for t0, t1, t2 in letters:
+                    t = t0[b0] | t1[b1] | t2[b2]
+                    if t not in seen:
+                        if t & (t - 1) == 0:
+                            return _linked_result(preds, code, k, t, expanded)
+                        add(t)
+                        push(t)
+                        link(code)
+                    code += 1
+        else:
+            for mask in level:
+                b0, b1, b2 = mask & low, mask >> width & low, mask >> high
+                for t0, t1, t2 in letters:
+                    t = t0[b0] | t1[b1] | t2[b2]
+                    if not visited[t]:
+                        if t & (t - 1) == 0:
+                            return _linked_result(preds, code, k, t, expanded)
+                        visited[t] = 1
+                        push(t)
+                        link(code)
+                    code += 1
         expanded += len(level)
         preds.append(back)
         level = nxt
     return None
+
+
+def _linked_result(preds: list[array], code: int, k: int, target: int,
+                   expanded: int) -> ResetResult:
+    """The result whose last letter and parent are `code`, walking `preds` back."""
+    word = [code % k]
+    i = code // k
+    for codes in reversed(preds):
+        word.append(codes[i] % k)
+        i = codes[i] // k
+    word.reverse()
+    return ResetResult(tuple(word), len(word), target.bit_length() - 1,
+                       expanded + code // k + 1)
 
 
 # ---------------------------------------------------------------------------

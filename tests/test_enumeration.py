@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syncword import (CapacityError, CheckResult, Dfa, ResetResult,
                       ScanConfig, canonical_flat, claim_checks,
@@ -15,7 +16,8 @@ from syncword import (CapacityError, CheckResult, Dfa, ResetResult,
 import syncword
 from syncword import (automaton, cli, enumeration, linspace, series, sync,
                       word_matrix)
-from syncword.enumeration import (EXAMPLE_EXPECTATIONS, _word_pool, dfa_to_flat,
+from syncword.enumeration import (EXAMPLE_EXPECTATIONS, _is_canonical,
+                                  _relabelings, _word_pool, dfa_to_flat,
                                   flat_to_dfa, index_to_flat, relabel_flat)
 
 from oracles import all_pairs_reachable, strongly_connected_class_count
@@ -54,6 +56,31 @@ def test_canonical_is_invariant_and_minimal():
     for perm in permutations(range(3)):
         assert canonical_flat(relabel_flat(flat, 3, 2, perm), 3, 2) == canon
         assert canon <= relabel_flat(flat, 3, 2, perm)
+
+
+def test_canonical_filter_matches_canonical_flat_on_every_small_table():
+    relabelings = _relabelings(3, 2)
+    for idx in range(3 ** 6):
+        flat = index_to_flat(idx, 3, 2)
+        assert _is_canonical(flat, relabelings) == (
+            tuple(flat) == canonical_flat(flat, 3, 2))
+
+
+@st.composite
+def flat_tables(draw):
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    return n, k, draw(st.lists(st.integers(0, n - 1), min_size=n * k,
+                               max_size=n * k))
+
+
+@settings(max_examples=200)
+@given(flat_tables())
+def test_canonical_filter_matches_canonical_flat(case):
+    n, k, flat = case
+    # the least relabeling is itself a table that must pass
+    for table in (flat, list(canonical_flat(flat, n, k))):
+        assert _is_canonical(table, _relabelings(n, k)) == (
+            tuple(table) == canonical_flat(table, n, k))
 
 
 # ---------------------------------------------------------------------------

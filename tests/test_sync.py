@@ -1,4 +1,8 @@
+import subprocess
+import sys
+import tracemalloc
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -124,6 +128,59 @@ def test_search_beyond_byte_chunks(monkeypatch):
     result = shortest_reset_word(d)
     assert result.length == 12
     assert result.word == frozenset_minimal_reset(d)
+
+
+def traced_peak_mib(d):
+    """The search's result and its peak traced allocation in MiB."""
+    tracemalloc.start()
+    try:
+        result = shortest_reset_word(d)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_search_memory_stays_below_a_subset_set():
+    # 65,519 visited subsets: a set of them alone takes about 4.6 MiB
+    result, peak = traced_peak_mib(cerny_automaton(16))
+    assert result.states_expanded == 65_519
+    assert peak < 1
+
+
+def test_short_search_allocates_no_visited_map():
+    # a map for 24 states is 16 MiB
+    rng = Random(0)
+    d = Dfa(24, 2, tuple(tuple(rng.randrange(24) for _ in range(24))
+                         for _ in range(2)))
+    result, peak = traced_peak_mib(d)
+    assert result.length == 13
+    assert peak < 1
+
+
+def test_eight_byte_predecessor_codes():
+    # 2^24 * 128 = 2^31: parent_index * k + letter may not fit 4 bytes
+    rng = Random(0)
+    delta = [tuple(range(24))] * 128
+    for c in (5, 64, 127):
+        delta[c] = tuple(rng.randrange(24) for _ in range(24))
+    d = Dfa(24, 128, tuple(delta))
+    assert shortest_reset_word(d).word == frozenset_minimal_reset(d)
+
+
+@pytest.mark.parametrize("name, limit, code", [
+    # a set of the 1,048,555 visited subsets takes the run to 88 MiB
+    ("cerny:20", 48, 0),
+    # the interpreter alone passes 1 MiB: the gate must be able to fail
+    ("cerny:5", 1, 1),
+])
+def test_cli_peak_rss(name, limit, code):
+    src = str(Path(sync.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("child_rss.py")), str(limit),
+         "reset-word", name, "--json"],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src})
+    assert proc.returncode == code, proc.stdout
+    assert proc.stdout.startswith(f"reset-word {name} --json: peak RSS ")
 
 
 def test_not_synchronizing_returns_none():
