@@ -41,6 +41,6 @@ for word in [(0, 1), (1, 1, 0), (0, 0, 1, 0, 1)]:
 
 # The witness family is closed under prefixing letters, which is exactly
 # why it spans every word matrix.
-ok, _ = letter_closure_check(dfa, [g for _, g in witnesses])
+ok, _ = letter_closure_check(dfa, ech, [g for _, g in witnesses])
 print("letter closure of the witness span:", ok)
 print("identity in span:", ech.contains(flatten(identity(n))))

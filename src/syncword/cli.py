@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 
 from . import enumeration, series, sync
-from .automaton import (BUILTIN_NAMES, Dfa, builtin_automaton, dfa_from_json,
-                        image, parse_dfa, serialize_dfa, word_from_str, word_to_str)
+from .automaton import (BUILTIN_NAMES, LETTER_NAMES, Dfa, builtin_automaton,
+                        dfa_from_json, image, parse_dfa, serialize_dfa,
+                        word_from_str, word_to_str)
 from .errors import CapacityError, DfaError, DfaParseError
 from .word_matrix import dense, matrix_of_word, render
 
@@ -35,10 +36,9 @@ class _Parser(argparse.ArgumentParser):
 
 def load_input(spec: str) -> Dfa:
     """Resolve a built-in name (cerny:<n>, kari, roman) or a file path."""
-    try:
+    # a bad name of a built-in's form gets the built-in's error, never a path
+    if spec in ("kari", "roman") or spec.startswith("cerny:"):
         return builtin_automaton(spec)
-    except DfaError:
-        pass
     path = Path(spec)
     if not path.exists():
         raise DfaParseError(
@@ -76,9 +76,17 @@ def _profile_lines(dfa: Dfa, profile, as_csv: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reset_search(dfa: Dfa) -> sync.ResetResult | None:
+    """The shortest reset word, once every letter is sure to have a name."""
+    if dfa.k > len(LETTER_NAMES):
+        raise DfaError(f"{dfa.k} letters, but words are written with the "
+                       f"{len(LETTER_NAMES)} letter names {LETTER_NAMES}")
+    return sync.shortest_reset_word(dfa)
+
+
 def cmd_reset_word(args) -> int:
     dfa = load_input(args.input)
-    result = sync.shortest_reset_word(dfa)
+    result = _reset_search(dfa)
     if result is None:
         if args.json:
             _emit(json.dumps({"input": args.input, "n": dfa.n, "k": dfa.k,
@@ -140,7 +148,7 @@ def cmd_profile(args) -> int:
     if args.word is not None:
         word = word_from_str(args.word, dfa.k)
     else:
-        result = sync.shortest_reset_word(dfa)
+        result = _reset_search(dfa)
         if result is None:
             print("not synchronizing and no --word given", file=sys.stderr)
             return EXIT_NEGATIVE

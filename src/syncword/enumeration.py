@@ -508,7 +508,8 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     check("constant-level-span", ok, detail)
 
     # letter closure of the saturated span, with a randomized membership probe
-    closed, witness = linspace.letter_closure_check(dfa, [g for _, g in witnesses])
+    closed, witness = linspace.letter_closure_check(
+        dfa, ech, [g for _, g in witnesses])
     check("letter-closure", closed, str(witness) if witness else "")
     rng = random.Random(7 * n + dfa.k)
     ok = True

@@ -35,12 +35,14 @@ def _exact(x):
 
 
 class RowEchelon:
-    """Incremental reduced row-echelon accumulator over Q^width.
+    """Incremental row-echelon accumulator over Q^width, forward elimination only.
 
-    Stored rows are mutually reduced and pivot-normalized, so reducing an
-    incoming vector by every stored row (in any order) leaves exactly the
-    component outside the span.  Rows may carry `tail` extra entries that
-    are reduced along but never hold a pivot.  Single-writer while mutable.
+    Each stored row is its input's residual scaled to 1 at its pivot, so it
+    is zero before its pivot column and at every earlier pivot.  Reducing a
+    vector by the rows in insertion order leaves the one vector, zero at
+    every pivot, that differs from it by a span member.  Rows may carry
+    `tail` extra entries that are reduced along but never hold a pivot.
+    Single-writer while mutable.
     """
 
     def __init__(self, width: int, tail: int = 0):
@@ -60,7 +62,7 @@ class RowEchelon:
         for col, row in self.pivot_rows:
             f = vec[col]
             if f:
-                for j in range(full):
+                for j in range(col, full):
                     if row[j]:
                         vec[j] -= f * row[j]
         return vec
@@ -75,15 +77,7 @@ class RowEchelon:
         for col in range(self.width):
             if res[col]:
                 inv = 1 / Fraction(res[col])
-                new_row = [x * inv for x in res]
-                # keep stored rows mutually reduced
-                for _, row in self.pivot_rows:
-                    f = row[col]
-                    if f:
-                        for j in range(len(new_row)):
-                            if new_row[j]:
-                                row[j] -= f * new_row[j]
-                self.pivot_rows.append((col, new_row))
+                self.pivot_rows.append((col, [x * inv for x in res]))
                 return True
         return False
 
@@ -125,12 +119,6 @@ class Decomposition:
     """Exact coefficients over a basis list; omitted indices mean zero."""
 
     coefficients: tuple[tuple[int, Fraction], ...]
-
-    def coefficient(self, index: int) -> Fraction:
-        for i, lam in self.coefficients:
-            if i == index:
-                return lam
-        return Fraction(0)
 
 
 class SpanSolver:
@@ -211,22 +199,18 @@ def left_multiply_flat(wm: WordMatrix, flat: Sequence) -> tuple:
 
 
 def letter_closure_check(
-    dfa: Dfa, generators: Sequence[WordMatrix]
+    dfa: Dfa, ech: RowEchelon, generators: Sequence[WordMatrix]
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Is span(generators) stable under left multiplication by every letter?
+    """Is the span held by `ech` stable under left multiplication by every letter?
 
-    Checks M_letter . g for every letter and every generator g.  When that
-    holds, the span is stable under M_t for every word t.  On failure
-    returns (False, (letter, generator_index)) as the witness.
+    `generators` must span what `ech` holds, as the pair returned by
+    word_matrix_span does.  Tests M_letter . g for every letter and every
+    generator g against `ech`, adding nothing to it.  When that holds, the
+    span is stable under M_t for every word t.  On failure returns
+    (False, (letter, generator_index)) as the witness.
     """
-    if not generators:
-        return True, None
-    n = generators[0].n
-    if n != dfa.n:
-        raise DfaError(f"generator dimension {n} != automaton size {dfa.n}")
-    ech = RowEchelon(n * n)
-    for g in generators:
-        ech.add(flatten(g))
+    if ech.width != dfa.n * dfa.n:
+        raise DfaError(f"echelon width {ech.width} != {dfa.n}^2")
     for c, Mc in enumerate(matrices_of_letters(dfa)):
         for gi, g in enumerate(generators):
             if not ech.contains(flatten(multiply(Mc, g))):

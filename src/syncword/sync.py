@@ -114,7 +114,8 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     Memory: visited subsets start in a `set`, about 64 bytes each (the int
     and its slot).  At the first level boundary where the set takes more
     than a visited map would, 64 * visited > 2^n, they move to a map of one
-    byte per possible subset, so short searches never allocate it.  The
+    byte per possible subset, so short searches never allocate it; one that
+    gets there first runs is_synchronizing and returns None if it fails.  The
     level that crosses that line adds at most k subsets per subset it
     expands, so the set never holds more than (k + 1) * 2^n / 64 subsets
     (nor more than 2^n).  Every visited subset also keeps a predecessor
@@ -148,6 +149,8 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     expanded = 0
     while level:
         if seen is not None and len(seen) << 6 > full:
+            if not is_synchronizing(dfa):
+                return None
             visited = bytearray(full + 1)
             for mask in seen:
                 visited[mask] = 1

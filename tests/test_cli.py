@@ -130,6 +130,44 @@ def test_reset_word_missing_input(capsys):
     assert "neither a built-in" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("cerny:1", "need at least 2 states"),
+    ("cerny:x", "bad state count in 'cerny:x'"),
+])
+def test_bad_builtin_name_reports_the_builtins_error(capsys, spec, message):
+    code, out, err = run(capsys, "reset-word", spec)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "neither a built-in" not in err
+
+
+@pytest.mark.parametrize("argv", [["reset-word"], ["reset-word", "--json"],
+                                  ["profile"]])
+def test_more_than_26_letters_rejected_before_the_search(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    searched = []
+    monkeypatch.setattr(syncword.sync, "shortest_reset_word",
+                        lambda *args: searched.append(args))
+    path = tmp_path / "wide.dfa"
+    path.write_text("2 27\n" + "1 1\n" * 27)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "27 letters" in err and "abcdefghijklmnopqrstuvwxyz" in err
+    assert searched == []
+
+
+def test_profile_word_on_27_letters_needs_no_search(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(syncword.sync, "shortest_reset_word", None)
+    path = tmp_path / "wide.dfa"
+    path.write_text("2 27\n" + "1 1\n" * 27)
+    code, out, _ = run(capsys, "profile", str(path), "--word", "a", "--csv")
+    assert code == 0
+    assert out.startswith("suffix_length,value\n")
+
+
 def test_reset_word_env_capacity(monkeypatch, capsys):
     monkeypatch.setenv("SYNCWORD_SUBSET_LIMIT", "3")
     code, _, err = run(capsys, "reset-word", "cerny:4")

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from syncword import (DfaError, Decomposition, RowEchelon, WordMatrix,
                       cerny_automaton, coefficient_sum, decompose, flatten,
@@ -200,6 +200,40 @@ def test_span_solver_on_dependent_lists_matches_integer_rank(case):
         assert combine(vecs, d) == tuple(target)
 
 
+@st.composite
+def independent_combinations(draw):
+    """An independent integer list and integer coefficients over it."""
+    width = draw(st.integers(1, 5))
+    count = draw(st.integers(1, width))
+    vecs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width,
+                                  max_size=width),
+                         min_size=count, max_size=count))
+    assume(int_rank(vecs) == count)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count))
+    return vecs, coeffs
+
+
+@given(independent_combinations())
+def test_span_solver_returns_the_coefficients_of_an_independent_list(case):
+    vecs, coeffs = case
+    target = [sum(c * v[j] for c, v in zip(coeffs, vecs))
+              for j in range(len(vecs[0]))]
+    d = SpanSolver(vecs).solve(target)
+    assert d.coefficients == tuple((i, c) for i, c in enumerate(coeffs) if c)
+
+
+@given(small_vector_lists, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_residual_is_zero_at_every_pivot(vecs, probe):
+    ech = RowEchelon(len(vecs[0]))
+    for vec in vecs:
+        ech.add(vec)
+    probe = probe[:ech.width]
+    res = ech._residual(probe)
+    assert all(res[col] == 0 for col, _ in ech.pivot_rows)
+    # and it differs from the probe by a member of the span
+    assert ech.contains([p - r for p, r in zip(probe, res)])
+
+
 def test_left_multiply_flat():
     M = WordMatrix((1, 0))
     flat = [Fraction(x) for x in (1, 2, 3, 4)]
@@ -210,18 +244,34 @@ def test_left_multiply_flat():
 
 def test_letter_closure_on_saturated_span():
     d = cerny_automaton(3)
-    _, witnesses = word_matrix_span(d)
-    ok, witness = letter_closure_check(d, [g for _, g in witnesses])
+    ech, witnesses = word_matrix_span(d)
+    ok, witness = letter_closure_check(d, ech, [g for _, g in witnesses])
     assert ok and witness is None
 
 
 def test_letter_closure_failure_witness():
     d = cerny_automaton(3)
-    ok, witness = letter_closure_check(d, [identity(3)])
+    ech = RowEchelon(9)
+    ech.add(flatten(identity(3)))
+    ok, witness = letter_closure_check(d, ech, [identity(3)])
     assert not ok
     assert witness == (0, 0)  # M_a . E falls outside span{E}
-    ok2, _ = letter_closure_check(d, [])
+    ok2, _ = letter_closure_check(d, RowEchelon(9), [])
     assert ok2
+    with pytest.raises(DfaError):
+        letter_closure_check(d, RowEchelon(4), [])
+
+
+def test_letter_closure_check_reuses_the_callers_echelon(monkeypatch):
+    d = kari_automaton()
+    ech, witnesses = word_matrix_span(d)
+    adds = []
+    real = RowEchelon.add
+    monkeypatch.setattr(RowEchelon, "add",
+                        lambda self, vec: adds.append(vec) or real(self, vec))
+    ok, _ = letter_closure_check(d, ech, [g for _, g in witnesses])
+    assert ok
+    assert adds == []
 
 
 def test_word_matrix_span_witnesses_are_word_matrices():

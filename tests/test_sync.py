@@ -188,6 +188,24 @@ def test_not_synchronizing_returns_none():
     assert shortest_reset_word(d) is None
 
 
+def test_non_synchronizing_search_ends_at_the_pair_test(monkeypatch):
+    # cerny:20 plus a state every letter fixes: the sink stays in every
+    # image, so without the pair test the search walks about 2^20 subsets
+    calls = []
+    real = sync.is_synchronizing
+    monkeypatch.setattr(sync, "is_synchronizing",
+                        lambda d: calls.append(d) or real(d))
+    c = cerny_automaton(20)
+    d = Dfa(21, 2, tuple(row + (20,) for row in c.delta))
+    assert shortest_reset_word(d) is None
+    assert calls == [d]
+    # a synchronizing search that reaches the map runs the test once as well
+    calls.clear()
+    c = cerny_automaton(16)
+    assert shortest_reset_word(c).length == 15 ** 2
+    assert calls == [c]
+
+
 def test_capacity_cap(monkeypatch):
     big = Dfa(25, 1, (tuple((i + 1) % 25 for i in range(25)),))
     with pytest.raises(CapacityError):
