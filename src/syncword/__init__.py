@@ -18,8 +18,8 @@ from .word_matrix import (WordMatrix, dense, identity, is_reset_matrix,
 from .linspace import (Decomposition, RowEchelon, coefficient_sum, decompose,
                        flatten, letter_closure_check, span_dimension,
                        standard_basis, word_matrix_span)
-from .series import (SeriesContext, series_linearity_check, series_value,
-                     suffix_profile, suffix_space_dimensions, threshold_count)
+from .series import (SeriesContext, series_value, suffix_profile,
+                     suffix_space_dimensions, threshold_count)
 from .sync import (ResetResult, is_irreducible, is_synchronizing,
                    left_stability_check, near_sync_suffixes, q_column,
                    q_equivalent, q_preceq, reduce_word, reset_collapse_check,

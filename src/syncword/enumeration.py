@@ -471,18 +471,20 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
             check(f"last-letter-dimension-{word_to_str((c,))}",
                   dim <= (n - 1) ** 2, f"dim {dim} vs {(n - 1) ** 2}")
 
-    # decomposition coefficient sums and series linearity
+    # decomposition coefficient sums and series linearity: the witnesses are
+    # independent, so when M_u = sum(lam_i M_wi), reducing [M_u | 1 | value(u)]
+    # by the rows [M_wi | 1 | value(wi)] leaves
+    # [0 | 1 - sum(lam_i) | value(u) - sum(lam_i value(wi))]
     flats = [linspace.flatten(g) for _, g in witnesses]
-    solver = linspace.SpanSolver(flats)
-    witness_values = [series.series_value(ctx, w) for w, _ in witnesses]
+    span = linspace.RowEchelon(n * n, tail=2)
+    for (w, _), f in zip(witnesses, flats):
+        span.add(f + (1, series.series_value(ctx, w)))
     bad_sum = bad_lin = None
     for w in pool:
-        d = solver.solve(vec[w])
-        if d is None or linspace.coefficient_sum(d) != 1:
+        *res, lin = span.residual(vec[w] + (1, val[w]))
+        if any(res):
             bad_sum = bad_sum or w
-            continue
-        combined = sum(lam * witness_values[i] for i, lam in d.coefficients)
-        if combined != val[w]:
+        elif lin:
             bad_lin = bad_lin or w
     check("coefficient-sum", bad_sum is None,
           f"counterexample {word_to_str(bad_sum)}" if bad_sum else "")

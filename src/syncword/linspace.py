@@ -38,23 +38,25 @@ class RowEchelon:
     """Incremental row-echelon accumulator over Q^width, forward elimination only.
 
     Each stored row is its input's residual scaled to 1 at its pivot, so it
-    is zero before its pivot column and at every earlier pivot.  Reducing a
-    vector by the rows in insertion order leaves the one vector, zero at
-    every pivot, that differs from it by a span member.  Rows may carry
-    `tail` extra entries that are reduced along but never hold a pivot.
-    Single-writer while mutable.
+    is zero before its pivot column and at every earlier pivot; it is kept
+    as its nonzero (column, value) pairs.  Reducing a vector by the rows in
+    insertion order leaves the one vector, zero at every pivot, that
+    differs from it by a span member.  Rows may carry `tail` extra entries
+    that are reduced along but never hold a pivot.  Single-writer while
+    mutable.
     """
 
     def __init__(self, width: int, tail: int = 0):
         self.width = width
         self.tail = tail
-        self.pivot_rows: list[tuple[int, list[Fraction]]] = []
+        self.pivot_rows: list[tuple[int, tuple[tuple[int, Fraction], ...]]] = []
 
     @property
     def dimension(self) -> int:
         return len(self.pivot_rows)
 
-    def _residual(self, vec: Sequence) -> list:
+    def residual(self, vec: Sequence) -> list:
+        """The reduced copy of vec (width + tail entries), zero at every pivot."""
         vec = [_exact(x) for x in vec]
         full = self.width + self.tail
         if len(vec) != full:
@@ -62,22 +64,22 @@ class RowEchelon:
         for col, row in self.pivot_rows:
             f = vec[col]
             if f:
-                for j in range(col, full):
-                    if row[j]:
-                        vec[j] -= f * row[j]
+                for j, x in row:
+                    vec[j] -= f * x
         return vec
 
     def contains(self, vec: Sequence) -> bool:
         """Span membership, exact."""
-        return not any(self._residual(vec))
+        return not any(self.residual(vec))
 
     def add(self, vec: Sequence) -> bool:
         """Insert a vector; True iff it enlarged the span."""
-        res = self._residual(vec)
+        res = self.residual(vec)
         for col in range(self.width):
             if res[col]:
                 inv = 1 / Fraction(res[col])
-                self.pivot_rows.append((col, [x * inv for x in res]))
+                self.pivot_rows.append(
+                    (col, tuple((j, x * inv) for j, x in enumerate(res) if x)))
                 return True
         return False
 
@@ -121,52 +123,27 @@ class Decomposition:
     coefficients: tuple[tuple[int, Fraction], ...]
 
 
-class SpanSolver:
-    """Echelonized basis list that remembers how each row was combined.
-
-    Factoring the basis once makes decomposing many targets against the
-    same spanning set cheap.  Each basis vector enters a RowEchelon as
-    [vector | unit combination], so every stored row carries its
-    expression in the original list and solutions fall out of reduction.
-    """
-
-    def __init__(self, basis: Sequence[Sequence]):
-        self.size = len(basis)
-        self.width = len(basis[0]) if basis else 0
-        self.echelon = RowEchelon(self.width, tail=self.size)
-        for i, vec in enumerate(basis):
-            if len(vec) != self.width:
-                raise DfaError(f"vector width {len(vec)} != {self.width}")
-            unit = [0] * self.size
-            unit[i] = 1
-            self.echelon.add(list(vec) + unit)
-
-    @property
-    def dimension(self) -> int:
-        return self.echelon.dimension
-
-    def solve(self, target: Sequence) -> Decomposition | None:
-        """Coefficients over the input list, or None if target is outside."""
-        if len(target) != self.width:
-            raise DfaError(f"vector width {len(target)} != {self.width}")
-        res = self.echelon._residual(list(target) + [0] * self.size)
-        if any(res[:self.width]):
-            return None
-        # reducing [target | 0] leaves [0 | -coefficients]
-        return Decomposition(tuple((i, -lam) for i, lam
-                                   in enumerate(res[self.width:]) if lam))
-
-
 def decompose(target: Sequence, basis: Sequence[Sequence]) -> Decomposition | None:
     """Express target as an exact linear combination of the basis list.
 
-    Returns None when target is outside the span; the result is the
-    deterministic greedy-elimination solution, and when the basis list is
-    independent it is the unique one.
+    Each basis vector enters a RowEchelon as [vector | unit combination],
+    with pivots only in the vector part, so every stored row carries its
+    expression in the list and reducing [target | 0] leaves
+    [0 | -coefficients].  Returns None when target is outside the span;
+    the result is the deterministic greedy-elimination solution, and when
+    the basis list is independent it is the unique one.
     """
-    if not basis:
-        return None if any(target) else Decomposition(())
-    return SpanSolver(basis).solve(target)
+    size = len(basis)
+    ech = RowEchelon(len(target), tail=size)
+    for i, vec in enumerate(basis):
+        unit = [0] * size
+        unit[i] = 1
+        ech.add(list(vec) + unit)
+    res = ech.residual(list(target) + [0] * size)
+    if any(res[:ech.width]):
+        return None
+    return Decomposition(tuple((i, -lam) for i, lam
+                               in enumerate(res[ech.width:]) if lam))
 
 
 def coefficient_sum(d: Decomposition) -> Fraction:

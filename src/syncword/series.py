@@ -14,7 +14,7 @@ from typing import Sequence
 from .automaton import Dfa, suffix_maps, word_map
 from .errors import CheckFailure, DfaError
 from . import linspace
-from .word_matrix import WordMatrix, matrix_of_word
+from .word_matrix import WordMatrix
 
 Profile = list[tuple[int, int]]
 
@@ -97,21 +97,3 @@ def suffix_space_dimensions(ctx: SeriesContext, s: Sequence[int]) -> list[int]:
         dims.append(dim)
     return dims
 
-
-def series_linearity_check(
-    ctx: SeriesContext, target: Sequence[int], parts: Sequence[Sequence[int]]
-) -> bool | None:
-    """Does the series respect a decomposition of M_target over {M_part}?
-
-    Decomposes the target's matrix over the parts' matrices exactly;
-    returns None when it is not in their span (not applicable, distinct
-    from a failure), else whether value(target) equals the coefficient
-    combination of the parts' values.
-    """
-    dfa = ctx.dfa
-    basis = [linspace.flatten(matrix_of_word(dfa, p)) for p in parts]
-    d = linspace.decompose(linspace.flatten(matrix_of_word(dfa, target)), basis)
-    if d is None:
-        return None
-    expected = sum(lam * series_value(ctx, parts[i]) for i, lam in d.coefficients)
-    return expected == series_value(ctx, target)

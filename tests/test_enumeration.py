@@ -342,6 +342,30 @@ def test_verify_flags_a_dependent_basis(monkeypatch):
     assert not results["basis-independence"].passed
 
 
+def test_verify_flags_a_word_outside_a_short_witness_list(monkeypatch):
+    real = linspace.word_matrix_span
+
+    def without_last(dfa):
+        ech, witnesses = real(dfa)
+        return ech, witnesses[:-1]
+
+    monkeypatch.setattr(linspace, "word_matrix_span", without_last)
+    results = {r.name: r for r in verify_automaton(cerny_automaton(4))}
+    assert results["coefficient-sum"] == CheckResult(
+        "coefficient-sum", False, "counterexample aabaaa")
+    assert results["series-linearity"].passed
+
+
+def test_verify_flags_a_series_that_is_not_linear(monkeypatch):
+    real = series.series_value
+    monkeypatch.setattr(series, "series_value",
+                        lambda ctx, w: real(ctx, w) + (len(w) == 3))
+    results = {r.name: r for r in verify_automaton(cerny_automaton(4))}
+    assert results["series-linearity"] == CheckResult(
+        "series-linearity", False, "counterexample abb")
+    assert results["coefficient-sum"].passed
+
+
 def test_verify_example_suite_all_green():
     suite = verify_example_suite()
     assert set(suite) == set(EXAMPLE_EXPECTATIONS)

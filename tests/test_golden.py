@@ -1,13 +1,16 @@
-"""CLI outputs compared byte for byte with the records in tests/golden/.
+"""CLI and demo outputs compared byte for byte with the records in tests/golden/.
 
 The records fence refactors: they change only when a change means to alter
-an output, and says why.  To rewrite them from the current code:
+an output, and says why.  Each demo runs as its own process, as a user
+runs it, under the interpreter's -O level.  To rewrite them from the
+current code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
@@ -17,7 +20,9 @@ import pytest
 
 from syncword.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted(path.stem for path in (ROOT / "demos").glob("*.py"))
 # a relative path, because the reports echo the input as given
 NEAR_SYNC = "near-sync.dfa"
 INPUTS = ("cerny:3", "cerny:4", "cerny:5", "cerny:6", "cerny:7", "kari",
@@ -62,6 +67,19 @@ def test_cli_output_matches_record(record):
     assert code == json.loads(EXIT_CODES.read_text())[record]
 
 
+def run_demo(name: str) -> str:
+    argv = [sys.executable, *["-O"] * sys.flags.optimize,
+            str(ROOT / "demos" / f"{name}.py")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(argv, env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_output_matches_record(name):
+    assert run_demo(name) == (GOLDEN / f"demo-{name}.txt").read_text()
+
+
 if __name__ == "__main__":
     codes = {}
     for record, argv in sorted(cases().items()):
@@ -69,3 +87,6 @@ if __name__ == "__main__":
         (GOLDEN / record).write_text(out)
         print(f"{record}: exit {codes[record]}", file=sys.stderr)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    for name in DEMOS:
+        (GOLDEN / f"demo-{name}.txt").write_text(run_demo(name))
+        print(f"demo-{name}.txt", file=sys.stderr)

@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 from syncword import (DfaError, KARI_WORD, ROMAN_WORD, SeriesContext,
                       cerny_automaton, cerny_word, kari_automaton,
                       matrix_of_word, q_column, q_preceq, roman_automaton,
-                      series_linearity_check, series_value, suffix_profile,
-                      suffix_space_dimensions, threshold_count,
-                      word_matrix_span)
+                      series_value, suffix_profile, suffix_space_dimensions,
+                      threshold_count)
 
 from oracles import preimage_count
 
@@ -123,35 +122,6 @@ def test_suffix_space_dimension_preconditions():
     wide = SeriesContext(kari_automaton(), 0b11)
     with pytest.raises(DfaError):
         suffix_space_dimensions(wide, KARI_WORD)
-
-
-def test_linearity_trivial_and_not_applicable():
-    ctx = kari_ctx()
-    assert series_linearity_check(ctx, (0, 1), [(0, 1)]) is True
-    assert series_linearity_check(ctx, (0, 1), [()]) is None
-
-
-def test_linearity_over_spanning_set():
-    d = cerny_automaton(4)
-    ctx = SeriesContext.for_state(d, 1)
-    _, witnesses = word_matrix_span(d)
-    parts = [w for w, _ in witnesses]
-    for w in [(), (0,), (1, 0, 0, 1), (0, 0, 1, 1, 0), cerny_word(4)]:
-        assert series_linearity_check(ctx, w, parts) is True
-
-
-def test_constant_level_combination():
-    # all parts at one level and the target in their span force that value
-    d = roman_automaton()
-    ctx = roman_ctx()
-    s = ROMAN_WORD
-    prof = suffix_profile(ctx, s)
-    level2 = [s[len(s) - L:] for L, v in prof if v == 2]
-    assert len(level2) >= 2
-    for u in level2:
-        res = series_linearity_check(ctx, u, level2)
-        assert res is True
-        assert series_value(ctx, u) == 2
 
 
 def test_values_respect_q_order():
