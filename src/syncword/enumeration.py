@@ -1,20 +1,25 @@
 """Exhaustive scans over small complete DFAs and the assertion battery.
 
 Transition tables are flattened letter-major (flat[c*n + p] = delta(p, c))
-and identified with base-n numerals, so the whole space [0, n^(nk)) can be
-chunked deterministically across workers; partial results merge in chunk
-order, making reports byte-identical for any worker count.
+and identified with base-n numerals in [0, n^(nk)), their table index.
+Reordering the letters changes neither the reset length nor strong
+connectivity, so a scan walks the multisets of k letter maps, searches
+each once, and counts it for every table it stands for.  The multisets
+are dealt round-robin to forked workers, and the merged report is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import permutations, product
-from typing import Iterator, Sequence
+from itertools import islice, permutations, product
+from math import comb
+from typing import BinaryIO, Iterator, Sequence
 
 from . import linspace, series, sync
 from .automaton import (Dfa, Word, builtin_automaton, cerny_word, image,
@@ -130,19 +135,21 @@ def _is_canonical(flat: Sequence[int], relabelings: list[Relabeling]) -> bool:
     return True
 
 
-def _filtered_tables(n: int, k: int, require_sc: bool, canonical: bool,
-                     start: int, end: int) -> Iterator[list[int]]:
-    """Flat tables of indices [start, end) that pass the filters, in index order.
+def enumerate_dfas(cfg: ScanConfig) -> Iterator[Dfa]:
+    """Yield every transition table, in index order, honoring the filters.
 
-    One list is incremented in place as a base-n numeral and yielded each
-    time; a caller that keeps a table must copy it.
+    With canonicalize, only tables equal to their canonical form are
+    yielded: exactly one representative (the least) per relabeling class.
     """
-    relabelings = _relabelings(n, k) if canonical else []
-    flat = index_to_flat(start, n, k)
-    for _ in range(start, end):
-        if ((not canonical or _is_canonical(flat, relabelings))
-                and (not require_sc or table_strongly_connected(flat, n))):
-            yield flat
+    cfg.check_guard()
+    n, k = cfg.n, cfg.k
+    relabelings = _relabelings(n, k) if cfg.canonicalize else []
+    flat = [0] * (n * k)
+    for _ in range(cfg.table_count):
+        if ((not cfg.canonicalize or _is_canonical(flat, relabelings))
+                and (not cfg.require_strongly_connected
+                     or table_strongly_connected(flat, n))):
+            yield flat_to_dfa(flat, n, k)
         pos = n * k - 1
         while pos >= 0:
             flat[pos] += 1
@@ -152,45 +159,133 @@ def _filtered_tables(n: int, k: int, require_sc: bool, canonical: bool,
             pos -= 1
 
 
-def enumerate_dfas(cfg: ScanConfig) -> Iterator[Dfa]:
-    """Yield every transition table, in index order, honoring the filters.
+def _letter_multisets(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Each multiset of k letter maps once, as (values, flat).
 
-    With canonicalize, only tables equal to their canonical form are
-    yielded: exactly one representative (the least) per relabeling class.
+    values holds the maps as base-n numerals in [0, n^n), non-decreasing,
+    and flat is the table with those maps as its letters, in that order.
+    Both lists are updated in place and yielded each time; only the k
+    current maps are held, never a list of all n^n.
     """
-    cfg.check_guard()
-    n, k = cfg.n, cfg.k
-    for flat in _filtered_tables(n, k, cfg.require_strongly_connected,
-                                 cfg.canonicalize, 0, cfg.table_count):
-        yield flat_to_dfa(flat, n, k)
+    top = n ** n - 1
+    values = [0] * k
+    flat = [0] * (n * k)
+    while True:
+        yield values, flat
+        c = k - 1
+        while c >= 0 and values[c] == top:
+            c -= 1
+        if c < 0:
+            return
+        values[c] += 1
+        pos = (c + 1) * n - 1
+        while flat[pos] == n - 1:
+            flat[pos] = 0
+            pos -= 1
+        flat[pos] += 1
+        if c < k - 1:
+            block = flat[c * n:(c + 1) * n]
+            for j in range(c + 1, k):
+                values[j] = values[c]
+                flat[j * n:(j + 1) * n] = block
 
 
-def _flat_shortest_reset_length(flat: Sequence[int], n: int, k: int,
-                                subset_images: list[list[int]]) -> int | None:
-    """Minimal reset length via subset BFS with per-letter image tables.
+def _arrangement_count(values: Sequence[int]) -> int:
+    """Distinct orders of a non-decreasing list: k!/prod(m_i!) over its runs."""
+    count = run = 1
+    for i in range(1, len(values)):
+        run = run + 1 if values[i] == values[i - 1] else 1
+        count = count * (i + 1) // run
+    return count
 
-    subset_images is scratch storage of k rows, each 2^n long, rebuilt here.
+
+def _counted_tables(values: Sequence[int], flat: Sequence[int], n: int,
+                    fixers: dict[int, list[Relabeling]] | None) -> Iterator[list[int]]:
+    """The tables a multiset stands for, in index order.
+
+    values and flat are as _letter_multisets yields them.  The tables are
+    the distinct letter orders of flat; in a canonical scan (fixers given)
+    only those that pass _is_canonical.  Relabeling acts on each letter's
+    map alone, so a canonical table starts with a canonical one-letter
+    table, and only the relabelings that fix that first map can make the
+    table smaller: fixers maps each canonical map to those relabelings.
+    """
+    blocks = {v: flat[c * n:(c + 1) * n] for c, v in enumerate(values)}
+    order = list(values)
+    k = len(order)
+    while True:
+        if fixers is None:
+            yield [t for v in order for t in blocks[v]]
+        elif order[0] in fixers:
+            table = [t for v in order for t in blocks[v]]
+            if _is_canonical(table, fixers[order[0]]):
+                yield table
+        # the next distinct order, in lexicographic order
+        i = k - 2
+        while i >= 0 and order[i] >= order[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = k - 1
+        while order[j] <= order[i]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1:] = order[:i:-1]
+
+
+def _canonical_map_fixers(n: int, k: int) -> dict[int, list[Relabeling]]:
+    """Each canonical one-letter map, by value, with the k-letter
+    relabelings that leave it unchanged."""
+    one_letter = _relabelings(n, 1)
+    relabelings = _relabelings(n, k)
+    out = {}
+    for value, m in enumerate(product(range(n), repeat=n)):
+        if _is_canonical(m, one_letter):
+            out[value] = [(perm, src) for perm, src in relabelings
+                          if all(perm[m[s]] == m[j] for j, s in enumerate(src[:n]))]
+    return out
+
+
+def _fill_images(images: list[list[int]], flat: Sequence[int], n: int,
+                 built: list[int]) -> None:
+    """Bring the per-letter subset-image rows up to date with a flat table.
+
+    built is the table the rows were last built from (-1 entries for rows
+    never built), and is updated.  The subsets whose top state is p are
+    those below 1 << p with p added, so each row is rebuilt only from its
+    first changed state on; row entry 0 stays 0.
+    """
+    for c, t in enumerate(images):
+        base = c * n
+        if flat[base:base + n] == built[base:base + n]:
+            continue
+        first = 0
+        while flat[base + first] == built[base + first]:
+            first += 1
+        for p in range(first, n):
+            image_p = 1 << flat[base + p]
+            bit = 1 << p
+            t[bit:2 * bit] = [s | image_p for s in t[:bit]]
+        built[base + first:base + n] = flat[base + first:base + n]
+
+
+def _reset_length(images: list[list[int]], n: int) -> int | None:
+    """Minimal reset length by subset BFS over per-letter image rows.
+
+    The answer does not depend on the order of the rows, so one search
+    serves every letter order of a table.
     """
     full = (1 << n) - 1
-    for c in range(k):
-        t = subset_images[c]
-        base = c * n
-        for p in range(n):
-            t[1 << p] = 1 << flat[base + p]
-        for s in range(3, full + 1):
-            low = s & (-s)
-            if s != low:
-                t[s] = t[low] | t[s & (s - 1)]
-    dist = [-1] * (full + 1)
-    dist[full] = 0
     if full & (full - 1) == 0:
         return 0
+    dist = [-1] * (full + 1)
+    dist[full] = 0
     queue = deque([full])
     while queue:
         s = queue.popleft()
         d = dist[s] + 1
-        for c in range(k):
-            t = subset_images[c][s]
+        for row in images:
+            t = row[s]
             if dist[t] < 0:
                 if t & (t - 1) == 0:
                     return d
@@ -238,72 +333,142 @@ class ScanReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _scan_chunk(args) -> dict:
-    """Worker: scan table indices [start, end); top-level for multiprocessing."""
-    n, k, require_sc, canonical, start, end = args
+def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
+                worker: int, workers: int) -> dict:
+    """Scan the letter-map multisets whose rank is worker modulo workers.
+
+    One BFS per multiset, weighted by the number of tables it stands for.
+    The maximal multisets are canonicalized once, after the maximum is
+    known, and the violation lists hold each counted table.
+    """
     cube = (n ** 3 - n) // 6
     cerny_bound = (n - 1) ** 2
+    fixers = _canonical_map_fixers(n, k) if canonical else None
     hist: dict[int, int] = {}
     total = 0
     max_len = 0
     max_count = 0
-    max_witnesses: set[tuple[int, ...]] = set()
+    maximal: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     too_long: list[tuple[int, ...]] = []
     beyond_conjecture: list[tuple[int, ...]] = []
-    subset_images = [[0] * (1 << n) for _ in range(k)]
-    for flat in _filtered_tables(n, k, require_sc, canonical, start, end):
-        total += 1
-        length = _flat_shortest_reset_length(flat, n, k, subset_images)
-        if length is not None:
-            hist[length] = hist.get(length, 0) + 1
-            if length > max_len:
-                max_len = length
-                max_count = 1
-                max_witnesses = {canonical_flat(flat, n, k)}
-            elif length == max_len:
-                max_count += 1
-                max_witnesses.add(canonical_flat(flat, n, k))
+    images = [[0] * (1 << n) for _ in range(k)]
+    built = [-1] * (n * k)
+    for values, flat in islice(_letter_multisets(n, k), worker, None, workers):
+        if fixers is not None:
+            weight = (0 if fixers.keys().isdisjoint(values) else
+                      sum(1 for _ in _counted_tables(values, flat, n, fixers)))
+        else:
+            weight = _arrangement_count(values)
+        if not weight or require_sc and not table_strongly_connected(flat, n):
+            continue
+        total += weight
+        _fill_images(images, flat, n, built)
+        length = _reset_length(images, n)
+        if length is None:
+            continue
+        hist[length] = hist.get(length, 0) + weight
+        if length > max_len:
+            max_len, max_count, maximal = length, 0, []
+        if length == max_len:
+            max_count += weight
+            maximal.append((tuple(values), tuple(flat)))
+        if length > cerny_bound:  # the cube bound is never below it
+            tables = [tuple(t) for t in _counted_tables(values, flat, n, fixers)]
+            beyond_conjecture += tables
             if length > cube:
-                too_long.append(tuple(flat))
-            if length > cerny_bound:
-                beyond_conjecture.append(tuple(flat))
+                too_long += tables
+    witnesses = {canonical_flat(t, n, k) for values, flat in maximal
+                 for t in _counted_tables(values, flat, n, fixers)}
     return {
         "total": total,
         "histogram": hist,
         "max_length": max_len,
         "max_length_count": max_count,
-        "witnesses": max_witnesses,
+        "witnesses": witnesses,
         "upper_bound_violations": too_long,
         "conjecture_counterexamples": beyond_conjecture,
     }
 
 
+def _fork_chunk(task: tuple) -> tuple[int, BinaryIO]:
+    """Fork a child that scans one chunk: (its pid, the pipe it writes to).
+
+    The child sends its partial through the pipe with marshal and leaves
+    through os._exit, with status 1 if the scan raised.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                marshal.dump(_scan_chunk(*task), pipe)
+            status = 0
+        except BaseException:
+            import traceback
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _forked_chunks(tasks: list[tuple]) -> list[dict]:
+    """Partials of the tasks, in task order, each scanned in a forked child.
+
+    Every child is reaped, also when one fails or the parent is
+    interrupted; then the children still running are killed first.
+    """
+    import signal  # here, not at the top: only forking scans pay its import
+    children: list[tuple[int, BinaryIO]] = []
+    statuses = []
+    done = False
+    try:
+        for task in tasks:
+            children.append(_fork_chunk(task))
+        data = [pipe.read() for _, pipe in children]
+        done = True
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for status in statuses:
+        if status:
+            raise RuntimeError(f"a scan worker failed with exit status {status}")
+    return [marshal.loads(d) for d in data]
+
+
 def extremal_scan(cfg: ScanConfig) -> ScanReport:
     """Scan every table, collect the reset-length histogram and extremes.
 
-    Deterministic for a given (n, k, filters) regardless of worker_count:
-    chunks are merged in index order and witnesses are reported as a sorted
-    set of canonical tables.  At most os.cpu_count() workers are started.
+    Tables that differ only in the order of their letters share a reset
+    length and strong connectivity, so each multiset of letter maps is
+    searched once.  Deterministic for a given (n, k, filters) regardless of
+    worker_count: multisets are dealt to workers round-robin by rank, the
+    partials are summed, and witnesses and violations are reported sorted,
+    which is table-index order.  At most os.cpu_count() workers are forked,
+    and no more than there are multisets.
     """
     cfg.check_guard()
     n, k = cfg.n, cfg.k
-    count = cfg.table_count
-    workers = min(cfg.worker_count, count, os.cpu_count() or 1)
-    bounds = [count * i // workers for i in range(workers + 1)]
-    tasks = [(n, k, cfg.require_strongly_connected, cfg.canonicalize,
-              bounds[i], bounds[i + 1]) for i in range(workers)]
-    if workers == 1:
-        partials = [_scan_chunk(tasks[0])]
-    else:
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            partials = pool.map(_scan_chunk, tasks)
+    workers = min(cfg.worker_count, comb(n ** n + k - 1, k), os.cpu_count() or 1)
+    tasks = [(n, k, cfg.require_strongly_connected, cfg.canonicalize, i, workers)
+             for i in range(workers)]
+    partials = ([_scan_chunk(*tasks[0])] if workers == 1
+                else _forked_chunks(tasks))
 
     report = ScanReport(n=n, k=k,
                         require_strongly_connected=cfg.require_strongly_connected,
                         canonicalize=cfg.canonicalize)
-    report.max_length = max((p["max_length"] for p in partials), default=0)
+    report.max_length = max(p["max_length"] for p in partials)
     witnesses: set[tuple[int, ...]] = set()
     for p in partials:
         report.total += p["total"]
@@ -312,10 +477,12 @@ def extremal_scan(cfg: ScanConfig) -> ScanReport:
         if p["max_length"] == report.max_length:
             report.max_length_count += p["max_length_count"]
             witnesses |= p["witnesses"]
-        report.upper_bound_violations.extend(p["upper_bound_violations"])
-        report.conjecture_counterexamples.extend(p["conjecture_counterexamples"])
+        report.upper_bound_violations += p["upper_bound_violations"]
+        report.conjecture_counterexamples += p["conjecture_counterexamples"]
     report.synchronizing = sum(report.histogram.values())
     report.witnesses = sorted(witnesses)
+    report.upper_bound_violations.sort()
+    report.conjecture_counterexamples.sort()
     return report
 
 

@@ -8,7 +8,9 @@ integer elimination, reachability from per-state searches.
 from itertools import permutations, product
 from math import gcd
 
-from syncword import Dfa, apply, image
+from syncword import Dfa, ScanConfig, ScanReport, apply, image
+from syncword import enumeration
+from syncword.enumeration import canonical_flat, flat_to_dfa
 
 
 def brute_minimal_reset(dfa: Dfa, max_len: int):
@@ -141,3 +143,44 @@ def strongly_connected_class_count(n: int, k: int) -> int:
                             for row in delta))
         orbits.add(frozenset(orbit))
     return len(orbits)
+
+
+def reference_scan(cfg: ScanConfig) -> ScanReport:
+    """extremal_scan by a raw walk over every table index, one BFS per table.
+
+    Tables come in index order, as a base-n odometer over the flat table,
+    so the violation lists need no sorting.  The filters are equality with
+    canonical_flat and all_pairs_reachable.  The reset length comes from
+    the scanner's kernel, looked up at call time so that a test can patch
+    it, with every image row rebuilt for each table.
+    """
+    n, k = cfg.n, cfg.k
+    cube = (n ** 3 - n) // 6
+    report = ScanReport(n, k, cfg.require_strongly_connected, cfg.canonicalize)
+    witnesses = set()
+    images = [[0] * (1 << n) for _ in range(k)]
+    for flat in product(range(n), repeat=n * k):
+        if cfg.canonicalize and flat != canonical_flat(flat, n, k):
+            continue
+        if (cfg.require_strongly_connected
+                and not all_pairs_reachable(flat_to_dfa(flat, n, k))):
+            continue
+        report.total += 1
+        enumeration._fill_images(images, flat, n, [-1] * (n * k))
+        length = enumeration._reset_length(images, n)
+        if length is None:
+            continue
+        report.histogram[length] = report.histogram.get(length, 0) + 1
+        if length > report.max_length:
+            report.max_length, report.max_length_count = length, 0
+            witnesses = set()
+        if length == report.max_length:
+            report.max_length_count += 1
+            witnesses.add(canonical_flat(flat, n, k))
+        if length > cube:
+            report.upper_bound_violations.append(flat)
+        if length > (n - 1) ** 2:
+            report.conjecture_counterexamples.append(flat)
+    report.synchronizing = sum(report.histogram.values())
+    report.witnesses = sorted(witnesses)
+    return report

@@ -1,7 +1,10 @@
-import multiprocessing
 import os
+import time
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +20,12 @@ import syncword
 from syncword import (automaton, cli, enumeration, linspace, series, sync,
                       word_matrix)
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, _is_canonical,
-                                  _relabelings, _word_pool, dfa_to_flat,
-                                  flat_to_dfa, index_to_flat, relabel_flat)
+                                  _letter_multisets, _relabelings, _word_pool,
+                                  dfa_to_flat, flat_to_dfa, index_to_flat,
+                                  relabel_flat)
 
-from oracles import all_pairs_reachable, strongly_connected_class_count
+from oracles import (all_pairs_reachable, reference_scan,
+                     strongly_connected_class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +151,158 @@ def test_scan_three_states_histogram_and_witnesses():
         assert shortest_reset_word(d).length == 4
 
 
-def test_scan_deterministic_across_workers_and_runs():
-    base = extremal_scan(ScanConfig(3, 2)).to_json()
-    assert extremal_scan(ScanConfig(3, 2)).to_json() == base
-    assert extremal_scan(ScanConfig(3, 2, worker_count=2)).to_json() == base
-    assert extremal_scan(ScanConfig(3, 2, worker_count=5)).to_json() == base
+def test_scan_deterministic_across_workers_and_runs(monkeypatch):
+    # eight CPUs, so that eight children really run
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for cfg in (ScanConfig(3, 2), ScanConfig(3, 3, canonicalize=True)):
+        base = extremal_scan(cfg).to_json()
+        assert extremal_scan(cfg).to_json() == base
+        for workers in (2, 5, 8):
+            assert extremal_scan(replace(cfg, worker_count=workers)).to_json() == base
+
+
+def no_fork():
+    raise AssertionError("a worker was forked")
 
 
 def test_scan_workers_clamped_to_cpu_count(monkeypatch):
     base = extremal_scan(ScanConfig(3, 2)).to_json()
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert extremal_scan(ScanConfig(3, 2, worker_count=10_000)).to_json() == base
+
+
+def test_scan_workers_clamped_to_multiset_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    # one state: a single multiset of letter maps, so no worker at all
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert extremal_scan(ScanConfig(1, 3, worker_count=8)).total == 1
+    # two states, one letter: four maps, four workers
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert extremal_scan(ScanConfig(2, 1, worker_count=8)).total == 4
+    assert len(forks) == 4
+
+
+def test_failing_worker_raises_and_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def broken(*args):
+        raise ValueError("chunk failed")
+
+    monkeypatch.setattr(enumeration, "_scan_chunk", broken)
+    with pytest.raises(RuntimeError, match="exit status 1"):
+        extremal_scan(ScanConfig(3, 2, worker_count=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_kills_and_reaps_the_running_children(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration, "_scan_chunk", lambda *args: time.sleep(30))
+    real_fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError("no more processes")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    start = time.perf_counter()
+    with pytest.raises(OSError, match="no more processes"):
+        extremal_scan(ScanConfig(3, 2, worker_count=2))
+    # the first child was killed, not waited for
+    assert time.perf_counter() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_letter_multisets_are_each_multiset_once():
+    for n, k in ((1, 3), (2, 3), (3, 2)):
+        seen = [(tuple(values), tuple(flat))
+                for values, flat in _letter_multisets(n, k)]
+        assert len(seen) == len(set(seen)) == comb(n ** n + k - 1, k)
+        for values, flat in seen:
+            assert list(values) == sorted(values)
+            assert [index_to_flat(v, n, 1) for v in values] == [
+                list(flat[c * n:(c + 1) * n]) for c in range(k)]
+
+
+# every n <= 3 with k <= 3, and the widest two-state alphabets in the range
+FENCE_SIZES = [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)] + [(2, 4), (2, 5)]
+FILTERS = [(sc, canon) for sc in (False, True) for canon in (False, True)]
+
+
+@pytest.mark.parametrize("n,k", FENCE_SIZES)
+def test_scan_matches_the_reference_walk(monkeypatch, n, k):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for sc, canon in FILTERS:
+        cfg = ScanConfig(n, k, sc, 1, canon)
+        expected = reference_scan(cfg).to_json()
+        for workers in (1, 2):
+            assert extremal_scan(replace(cfg, worker_count=workers)).to_json() == expected
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3), (2, 5)])
+def test_scan_lists_violations_in_table_order(monkeypatch, n, k):
+    # real tables never break the bounds, so lengthen the search result of
+    # the tables whose letters' full images sum to a multiple of 3; the sum
+    # does not depend on the letter order
+    real = enumeration._reset_length
+
+    def lengthened(images, n):
+        length = real(images, n)
+        if length is not None and sum(row[-1] for row in images) % 3 == 0:
+            length += (n ** 3 - n) // 6 + 1
+        return length
+
+    monkeypatch.setattr(enumeration, "_reset_length", lengthened)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for sc, canon in FILTERS:
+        cfg = ScanConfig(n, k, sc, 1, canon)
+        expected = reference_scan(cfg)
+        assert expected.upper_bound_violations
+        assert expected.conjecture_counterexamples
+        for workers in (1, 2):
+            got = extremal_scan(replace(cfg, worker_count=workers))
+            assert got.to_json() == expected.to_json()
+
+
+def test_witnesses_are_canonicalized_once_per_counted_table(monkeypatch):
+    real = enumeration.canonical_flat
+    calls = []
+
+    def counting(flat, n, k):
+        calls.append(tuple(flat))
+        return real(flat, n, k)
+
+    monkeypatch.setattr(enumeration, "canonical_flat", counting)
+    for cfg, count in ((ScanConfig(4, 2), 96), (ScanConfig(3, 4), 3840),
+                       (ScanConfig(4, 2, canonicalize=True), 4)):
+        calls.clear()
+        report = extremal_scan(cfg)
+        assert report.max_length_count == count
+        assert len(calls) == len(set(calls)) == count
+
+
+def test_scan_holds_no_list_of_all_letter_maps():
+    # 6^6 = 46,656 one-letter tables
+    tracemalloc.start()
+    try:
+        report = extremal_scan(ScanConfig(6, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total == 6 ** 6
+    assert peak < 1 << 20
 
 
 def test_scan_canonical_counts_classes_once():

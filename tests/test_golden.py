@@ -40,11 +40,13 @@ def cases() -> dict[str, list[str]]:
             "reset-word", name, "--json", "--profile", "--show-matrix",
             "--check-lemmas"]
         out[f"profile-{slug}.json"] = ["profile", name, "--json"]
-    for n in (3, 4):
-        for flags in ([], ["--canonical"]):
-            tag = "-canonical" if flags else ""
-            out[f"scan-n{n}-k2{tag}.json"] = [
-                "scan", "--n", str(n), "--k", "2", "--json", *flags]
+    scans = [(3, 2, []), (3, 2, ["--canonical"]), (4, 2, []),
+             (4, 2, ["--canonical"]), (3, 3, []), (3, 3, ["--canonical"]),
+             (2, 4, ["--strongly-connected"])]
+    for n, k, flags in scans:
+        tag = "".join("-" + flag.removeprefix("--") for flag in flags)
+        out[f"scan-n{n}-k{k}{tag}.json"] = [
+            "scan", "--n", str(n), "--k", str(k), "--json", *flags]
     return out
 
 
