@@ -86,20 +86,26 @@ def dfa_to_flat(dfa: Dfa) -> tuple[int, ...]:
     return tuple(t for row in dfa.delta for t in row)
 
 
-def relabel_flat(flat: Sequence[int], n: int, k: int,
-                 perm: Sequence[int]) -> tuple[int, ...]:
-    """Apply a state relabeling (perm[old] = new) to a flat table."""
-    out = [0] * (n * k)
-    for c in range(k):
-        base = c * n
-        for p in range(n):
-            out[base + perm[p]] = perm[flat[base + p]]
-    return tuple(out)
-
-
 def canonical_flat(flat: Sequence[int], n: int, k: int) -> tuple[int, ...]:
-    """Lexicographically least table over all state relabelings."""
-    return min(relabel_flat(flat, n, k, perm) for perm in permutations(range(n)))
+    """Lexicographically least table over all state relabelings.
+
+    The relabeling that sends state inv[new] to new puts
+    inv.index(flat[c*n + inv[q]]) at entry c*n + q.  Each relabeling is
+    compared with the least table so far only up to its first differing
+    entry, and built in full only when it is smaller.
+    """
+    nk = n * k
+    best = tuple(flat)
+    for inv in permutations(range(n)):
+        for j in range(nk):
+            base = j - j % n
+            t = inv.index(flat[base + inv[j - base]])
+            if t != best[j]:
+                if t < best[j]:
+                    best = tuple([inv.index(flat[c + old])
+                                  for c in range(0, nk, n) for old in inv])
+                break
+    return best
 
 
 # (perm, src): entry j of the relabeled table is perm[flat[src[j]]]
@@ -140,23 +146,21 @@ def enumerate_dfas(cfg: ScanConfig) -> Iterator[Dfa]:
 
     With canonicalize, only tables equal to their canonical form are
     yielded: exactly one representative (the least) per relabeling class.
+    A canonical table starts with a canonical one-letter map, and only the
+    relabelings that fix that map are tried (see _counted_tables).
     """
     cfg.check_guard()
     n, k = cfg.n, cfg.k
-    relabelings = _relabelings(n, k) if cfg.canonicalize else []
-    flat = [0] * (n * k)
-    for _ in range(cfg.table_count):
-        if ((not cfg.canonicalize or _is_canonical(flat, relabelings))
-                and (not cfg.require_strongly_connected
-                     or table_strongly_connected(flat, n))):
-            yield flat_to_dfa(flat, n, k)
-        pos = n * k - 1
-        while pos >= 0:
-            flat[pos] += 1
-            if flat[pos] < n:
-                break
-            flat[pos] = 0
-            pos -= 1
+    fixers = _canonical_map_fixers(n, k) if cfg.canonicalize else None
+    for value, first in enumerate(product(range(n), repeat=n)):
+        if fixers is not None and value not in fixers:
+            continue
+        for rest in product(range(n), repeat=n * (k - 1)):
+            flat = first + rest
+            if ((fixers is None or _is_canonical(flat, fixers[value]))
+                    and (not cfg.require_strongly_connected
+                         or table_strongly_connected(flat, n))):
+                yield flat_to_dfa(flat, n, k)
 
 
 def _letter_multisets(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -600,23 +604,30 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     check("upper-bound", best.length <= cube,
           f"length {best.length} vs bound {cube}")
 
-    # each pool word's matrix, flat vector and series value, built once
+    # each pool word's matrix and series value, built once; many words share
+    # a matrix, so what reads only the matrix (or the matrix and the value)
+    # is computed once per distinct input, and the loops over the pool still
+    # report the first counterexample in pool order
     mat = {w: matrix_of_word(dfa, w) for w in dict.fromkeys(pool)}
-    vec = {w: linspace.flatten(M) for w, M in mat.items()}
     val = {w: series.series_value(ctx, w) for w in mat}
+    distinct = {M.rows: M for M in mat.values()}
+    vec = {rows: linspace.flatten(M) for rows, M in distinct.items()}
 
     # image monotonicity: columns of a longer word sit inside its suffix's
     short = [w for w in pool if len(w) <= 3]
+    short_mats = {mat[w].rows: mat[w] for w in short}
+    grows = {(a, b) for a, A in short_mats.items() for b, B in short_mats.items()
+             if nonzero_columns(multiply(A, B)) & ~nonzero_columns(B)}
     bad = next(((u, s) for u in short for s in short
-                if nonzero_columns(multiply(mat[u], mat[s]))
-                & ~nonzero_columns(mat[s])), None)
+                if (mat[u].rows, mat[s].rows) in grows), None) if grows else None
     check("image-monotone", bad is None, f"counterexample {bad}" if bad else "")
 
     # reset matrix shape and rank-by-columns
     M_min = matrix_of_word(dfa, s_min)
     check("reset-matrix", nonzero_columns(M_min) == 1 << q and rank(M_min) == 1)
-    bad = next((w for w in pool
-                if rank(mat[w]) != linspace.span_dimension(dense(mat[w]))), None)
+    rank_ok = {rows: rank(M) == linspace.span_dimension(dense(M))
+               for rows, M in distinct.items()}
+    bad = next((w for w in pool if not rank_ok[mat[w].rows]), None)
     check("rank-by-columns", bad is None,
           f"counterexample {word_to_str(bad)}" if bad else "")
 
@@ -646,9 +657,13 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     span = linspace.RowEchelon(n * n, tail=2)
     for (w, _), f in zip(witnesses, flats):
         span.add(f + (1, series.series_value(ctx, w)))
+    tails = {}
     bad_sum = bad_lin = None
     for w in pool:
-        *res, lin = span.residual(vec[w] + (1, val[w]))
+        key = mat[w].rows, val[w]
+        if key not in tails:
+            tails[key] = span.residual(vec[key[0]] + (1, val[w]))
+        *res, lin = tails[key]
         if any(res):
             bad_sum = bad_sum or w
         elif lin:
@@ -669,8 +684,9 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
         lech = linspace.RowEchelon(n * n)
         for f in members:
             lech.add(linspace.flatten(WordMatrix(tuple(f))))
+        inside = {rows: lech.contains(v) for rows, v in vec.items()}
         for w in pool:
-            if lech.contains(vec[w]):
+            if inside[mat[w].rows]:
                 if val[w] != level:
                     ok, detail = False, f"{word_to_str(w)} at level {level}"
                     break

@@ -3,7 +3,10 @@
 Such a matrix has exactly one unit per row: row i holds a unit in column j
 when the word sends state i to state j.  We store only the row -> column
 map, so composing two matrices is O(n) and equality is exact; the dense 0/1
-view is materialized only where rational linear algebra needs it.
+view is materialized only where rational linear algebra needs it.  The
+public constructor validates its rows; composition and word matrices build
+their results through a trusted constructor, since a product of valid row
+maps of one size and the map of a validated word are valid by construction.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ class WordMatrix:
         return len(self.rows)
 
 
+def _trusted(rows: tuple[int, ...]) -> WordMatrix:
+    """A WordMatrix over rows known to be valid, without __post_init__."""
+    M = object.__new__(WordMatrix)
+    object.__setattr__(M, "rows", rows)
+    return M
+
+
 def identity(n: int) -> WordMatrix:
     """The matrix of the empty word."""
     return WordMatrix(tuple(range(n)))
@@ -42,7 +52,7 @@ def identity(n: int) -> WordMatrix:
 
 def matrix_of_word(dfa: Dfa, w: Sequence[int]) -> WordMatrix:
     """Matrix with row i mapping to column apply(dfa, i, w)."""
-    return WordMatrix(tuple(word_map(dfa, w)))
+    return _trusted(tuple(word_map(dfa, w)))
 
 
 def multiply(A: WordMatrix, B: WordMatrix) -> WordMatrix:
@@ -52,7 +62,8 @@ def multiply(A: WordMatrix, B: WordMatrix) -> WordMatrix:
     """
     if A.n != B.n:
         raise DfaError(f"dimension mismatch: {A.n} vs {B.n}")
-    return WordMatrix(tuple(B.rows[j] for j in A.rows))
+    b = B.rows
+    return _trusted(tuple([b[j] for j in A.rows]))
 
 
 def nonzero_columns(M: WordMatrix) -> int:

@@ -13,6 +13,16 @@ from syncword import enumeration
 from syncword.enumeration import canonical_flat, flat_to_dfa
 
 
+def relabel_flat(flat, n: int, k: int, perm) -> tuple[int, ...]:
+    """Apply a state relabeling (perm[old] = new) to a flat table."""
+    out = [0] * (n * k)
+    for c in range(k):
+        base = c * n
+        for p in range(n):
+            out[base + perm[p]] = perm[flat[base + p]]
+    return tuple(out)
+
+
 def brute_minimal_reset(dfa: Dfa, max_len: int):
     """First synchronizing word in length-then-lex order, or None."""
     full = dfa.full_set

@@ -21,10 +21,9 @@ from syncword import (automaton, cli, enumeration, linspace, series, sync,
                       word_matrix)
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, _is_canonical,
                                   _letter_multisets, _relabelings, _word_pool,
-                                  dfa_to_flat, flat_to_dfa, index_to_flat,
-                                  relabel_flat)
+                                  dfa_to_flat, flat_to_dfa, index_to_flat)
 
-from oracles import (all_pairs_reachable, reference_scan,
+from oracles import (all_pairs_reachable, reference_scan, relabel_flat,
                      strongly_connected_class_count)
 
 
@@ -88,6 +87,14 @@ def test_canonical_filter_matches_canonical_flat(case):
             tuple(table) == canonical_flat(table, n, k))
 
 
+@settings(max_examples=200)
+@given(flat_tables())
+def test_canonical_flat_is_the_least_relabeling(case):
+    n, k, flat = case
+    assert canonical_flat(flat, n, k) == min(
+        relabel_flat(flat, n, k, perm) for perm in permutations(range(n)))
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -98,6 +105,16 @@ def test_enumerate_counts_two_states_one_letter():
     for d in reps:
         flat = dfa_to_flat(d)
         assert flat == canonical_flat(flat, 2, 1)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)]
+                         + [(4, 2)])
+def test_canonical_enumeration_matches_canonical_flat(n, k):
+    tables = (tuple(index_to_flat(i, n, k)) for i in range(n ** (n * k)))
+    expected = [t for t in tables if t == canonical_flat(t, n, k)]
+    got = [dfa_to_flat(d)
+           for d in enumerate_dfas(ScanConfig(n, k, canonicalize=True))]
+    assert got == expected
 
 
 def test_enumerate_count_three_states_two_letters():
@@ -385,6 +402,28 @@ def test_verify_builds_each_pool_word_matrix_once(monkeypatch):
     pool = set(_word_pool(dfa))
     assert {calls[w] for w in pool} == {1}
     assert calls[s] == 1 and sum(calls.values()) == len(pool | {s})
+
+
+def test_verify_reduces_each_distinct_matrix_and_value_once(monkeypatch):
+    dfa = cerny_automaton(4)
+    reductions = []
+    real = linspace.RowEchelon.residual
+
+    def counting(self, vec):
+        if self.tail == 2:
+            reductions.append(tuple(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(linspace.RowEchelon, "residual", counting)
+    verify_automaton(dfa)
+    ctx = series.SeriesContext.for_state(dfa, shortest_reset_word(dfa).target)
+    pool = _word_pool(dfa)
+    keys = {(word_matrix.matrix_of_word(dfa, w).rows, series.series_value(ctx, w))
+            for w in pool}
+    assert len(keys) < len(pool)  # the pool repeats (matrix, value) pairs
+    # each witness row is reduced as it is added, then each distinct key once
+    witnesses = linspace.word_matrix_span(dfa)[1]
+    assert len(reductions) == len(witnesses) + len(keys)
 
 
 def test_suffix_space_check_adds_each_suffix_once(monkeypatch):
