@@ -11,15 +11,13 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DfaError, DfaParseError
 
 Word = tuple[int, ...]
 
 LETTER_NAMES = string.ascii_lowercase
-
-EMPTY_WORD: Word = ()
 
 
 @dataclass(frozen=True)
@@ -52,14 +50,6 @@ class Dfa:
             rows.append(row)
         object.__setattr__(self, "delta", tuple(rows))
 
-    def step(self, p: int, c: int) -> int:
-        """Follow one letter from state p."""
-        if not 0 <= p < self.n:
-            raise DfaError(f"state {p} out of range [0, {self.n})")
-        if not 0 <= c < self.k:
-            raise DfaError(f"letter {c} out of range [0, {self.k})")
-        return self.delta[c][p]
-
     @property
     def full_set(self) -> int:
         """Bitmask of all n states."""
@@ -74,16 +64,6 @@ class Dfa:
         return w
 
 
-def mask_of(states: Sequence[int] | Iterator[int], n: int) -> int:
-    """Bitmask for an iterable of states, validated against [0, n)."""
-    out = 0
-    for p in states:
-        if not 0 <= p < n:
-            raise DfaError(f"state {p} out of range [0, {n})")
-        out |= 1 << p
-    return out
-
-
 def states_of(mask: int) -> list[int]:
     """Ascending list of states present in a bitmask."""
     out = []
@@ -94,19 +74,6 @@ def states_of(mask: int) -> list[int]:
         mask >>= 1
         p += 1
     return out
-
-
-def apply(dfa: Dfa, p: int, w: Sequence[int]) -> int:
-    """State reached from p by reading w left to right; empty word returns p."""
-    if not 0 <= p < dfa.n:
-        raise DfaError(f"state {p} out of range [0, {dfa.n})")
-    delta = dfa.delta
-    k = dfa.k
-    for c in w:
-        if not 0 <= c < k:
-            raise DfaError(f"letter {c} out of range [0, {k})")
-        p = delta[c][p]
-    return p
 
 
 def word_map(dfa: Dfa, w: Sequence[int]) -> list[int]:
@@ -328,12 +295,6 @@ def parse_dfa(text: str) -> Dfa:
             raise DfaParseError(f"target {t} out of range [0, {n})", lineno)
         flat.append(t)
     return Dfa(n, k, tuple(tuple(flat[c * n:(c + 1) * n]) for c in range(k)))
-
-
-def dfa_to_json(dfa: Dfa) -> str:
-    """JSON mirror of the text format."""
-    return json.dumps({"n": dfa.n, "k": dfa.k,
-                       "delta": [list(row) for row in dfa.delta]})
 
 
 def dfa_from_json(text: str) -> Dfa:

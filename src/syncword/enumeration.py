@@ -22,8 +22,7 @@ from math import comb
 from typing import BinaryIO, Iterator, Sequence
 
 from . import linspace, series, sync
-from .automaton import (Dfa, Word, builtin_automaton, cerny_word, image,
-                        KARI_WORD, ROMAN_WORD, suffix_maps,
+from .automaton import (Dfa, Word, image, KARI_WORD, ROMAN_WORD, suffix_maps,
                         table_strongly_connected, word_to_str)
 from .errors import CapacityError, CheckFailure, DfaError
 from .word_matrix import (WordMatrix, dense, identity, matrix_of_word,
@@ -69,21 +68,8 @@ class ScanConfig:
                 f"canonicalization is O(n!) per table; capped at n <= {CANONICAL_MAX_N}")
 
 
-def index_to_flat(idx: int, n: int, k: int) -> list[int]:
-    """Digits of idx base n, most significant first; length nk."""
-    flat = [0] * (n * k)
-    for pos in range(n * k - 1, -1, -1):
-        flat[pos] = idx % n
-        idx //= n
-    return flat
-
-
 def flat_to_dfa(flat: Sequence[int], n: int, k: int) -> Dfa:
     return Dfa(n, k, tuple(tuple(flat[c * n:(c + 1) * n]) for c in range(k)))
-
-
-def dfa_to_flat(dfa: Dfa) -> tuple[int, ...]:
-    return tuple(t for row in dfa.delta for t in row)
 
 
 def canonical_flat(flat: Sequence[int], n: int, k: int) -> tuple[int, ...]:
@@ -716,14 +702,12 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     rng = random.Random(13 * n + dfa.k)
     triples = [(pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))],
                 pool[rng.randrange(len(pool))]) for _ in range(200)]
-    bad = next(((a, u, v, qq) for a, u, v in triples for qq in range(n)
-                if not sync.left_stability_check(mat[a], mat[u], mat[v], qq)),
-               None)
-    check("left-stability", bad is None, str(bad) if bad else "")
-    bad = next(((t, u, v, qq) for t, u, v in triples for qq in range(n)
-                if not sync.reset_collapse_check(mat[t], mat[u], mat[v], qq)),
-               None)
-    check("reset-collapse", bad is None, str(bad) if bad else "")
+    for check_name, first_failure in (("left-stability", sync.left_stability_check),
+                                      ("reset-collapse", sync.reset_collapse_check)):
+        bad = next(((a, u, v, qq) for a, u, v in triples
+                    if (qq := first_failure(mat[a], mat[u], mat[v])) is not None),
+                   None)
+        check(check_name, bad is None, str(bad) if bad else "")
 
     # diagnostic only, never failed: composition of the value-0 q-class of
     # the identity (invertible members vs. singular members of rank > 1)
@@ -762,14 +746,3 @@ EXAMPLE_EXPECTATIONS = {
               "threshold_counts": {1: 16, 2: 10, 3: 4},
               "paper_word": ROMAN_WORD},
 }
-
-
-def verify_example_suite() -> dict[str, list[CheckResult]]:
-    """The assertion battery over the built-in automata."""
-    out = {}
-    for name, expect in EXAMPLE_EXPECTATIONS.items():
-        dfa = builtin_automaton(name)
-        if name.startswith("cerny:"):
-            expect = dict(expect, paper_word=cerny_word(dfa.n))
-        out[name] = verify_automaton(dfa, expect)
-    return out

@@ -152,16 +152,6 @@ def coefficient_sum(d: Decomposition) -> Fraction:
     return sum((lam for _, lam in d.coefficients), Fraction(0))
 
 
-def combine(basis: Sequence[Sequence], d: Decomposition) -> tuple:
-    """Re-sum a decomposition; reproduces the target exactly."""
-    width = len(basis[0]) if basis else 0
-    out = [0] * width
-    for i, lam in d.coefficients:
-        for j in range(width):
-            out[j] += lam * _exact(basis[i][j])
-    return tuple(out)
-
-
 def left_multiply_flat(wm: WordMatrix, flat: Sequence) -> tuple:
     """Product wm . F for an arbitrary flat matrix F: row i of the result is
     row wm.rows[i] of F."""

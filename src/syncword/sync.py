@@ -223,54 +223,63 @@ def _preimage(f: Sequence[int], q: int) -> int:
     return out
 
 
-def _q_columns(A: WordMatrix, B: WordMatrix, q: int) -> tuple[int, int]:
-    """The q-columns of two matrices of the same size."""
-    if A.n != B.n:
-        raise DfaError(f"dimension mismatch: {A.n} vs {B.n}")
-    return q_column(A, q), q_column(B, q)
+def _columns(M: WordMatrix) -> list[int]:
+    """Every q-column of M, by q, from one pass over its rows."""
+    cols = [0] * M.n
+    for p, q in enumerate(M.rows):
+        cols[q] |= 1 << p
+    return cols
+
+
+def _same_size(*matrices: WordMatrix) -> None:
+    """Raise DfaError unless the matrices share one size."""
+    if len({M.n for M in matrices}) > 1:
+        raise DfaError(f"dimension mismatch: {[M.n for M in matrices]}")
 
 
 def q_equivalent(A: WordMatrix, B: WordMatrix, q: int) -> bool:
     """Equal q-columns."""
-    a, b = _q_columns(A, B, q)
-    return a == b
+    _same_size(A, B)
+    return q_column(A, q) == q_column(B, q)
 
 
-def q_preceq(B: WordMatrix, A: WordMatrix, q: int) -> bool:
-    """Is the q-column of B contained in the q-column of A?"""
-    a, b = _q_columns(A, B, q)
-    return b & ~a == 0
+def left_stability_check(Ma: WordMatrix, Mu: WordMatrix,
+                         Mv: WordMatrix) -> int | None:
+    """The least state q at which left multiplication breaks a q-relation
+    on this triple, or None when it breaks none.
 
-
-def left_stability_check(Ma: WordMatrix, Mu: WordMatrix, Mv: WordMatrix,
-                         q: int) -> bool:
-    """Left multiplication preserves the q-relations on this triple.
-
-    Verifies that M_u ~q M_v forces M_au ~q M_av, and that the q-column of
-    M_v inside M_u's forces the same containment after prefixing a.  Both
-    implications hold vacuously when the antecedent fails.
+    For every q, M_u ~q M_v must force M_au ~q M_av, and the q-column of
+    M_v inside M_u's must force the same containment after prefixing a.
+    Both implications hold vacuously when the antecedent fails.  Each
+    product is composed once for all q.
     """
-    u, v = _q_columns(Mu, Mv, q)
-    if v & ~u:
-        return True
-    au, av = q_column(multiply(Ma, Mu), q), q_column(multiply(Ma, Mv), q)
-    return av & ~au == 0 and (u != v or au == av)
+    _same_size(Ma, Mu, Mv)
+    u, v = _columns(Mu), _columns(Mv)
+    au, av = _columns(multiply(Ma, Mu)), _columns(multiply(Ma, Mv))
+    for q in range(Mu.n):
+        if not v[q] & ~u[q] and (av[q] & ~au[q] or u[q] == v[q] and au[q] != av[q]):
+            return q
+    return None
 
 
-def reset_collapse_check(Mt: WordMatrix, Mu: WordMatrix, Mv: WordMatrix,
-                         q: int) -> bool:
-    """Collapse to full equality at reset matrices, on this triple.
+def reset_collapse_check(Mt: WordMatrix, Mu: WordMatrix,
+                         Mv: WordMatrix) -> int | None:
+    """The state q at which collapse to full equality fails on this
+    triple, or None when it holds.
 
-    When M_u ~q M_v (or M_v's q-column sits inside M_u's) and M_tv is the
-    reset matrix targeting q, then M_tu must equal M_tv as a whole matrix.
-    True when the implication holds (vacuously if premises fail).
+    When the q-column of M_v sits inside M_u's (as when M_u ~q M_v) and
+    M_tv is the reset matrix targeting q, M_tu must equal M_tv as a whole
+    matrix.  Only the one target of a reset M_tv has a full q-column, so
+    only that state can fail; each product is composed at most once.
     """
-    if not q_preceq(Mv, Mu, q):
-        return True
+    _same_size(Mt, Mu, Mv)
     Mtv = multiply(Mt, Mv)
-    if q_column(Mtv, q) != (1 << Mt.n) - 1:
-        return True
-    return multiply(Mt, Mu) == Mtv
+    q = Mtv.rows[0]
+    if (any(t != q for t in Mtv.rows)
+            or _preimage(Mv.rows, q) & ~_preimage(Mu.rows, q)
+            or multiply(Mt, Mu) == Mtv):
+        return None
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -291,44 +300,20 @@ def _suffix_columns(dfa: Dfa, s: Sequence[int], q: int) -> tuple[Word, list[int]
     return s, cols
 
 
-def _removable_split(dfa: Dfa, s: Sequence[int], q: int) -> tuple[int, int] | None:
-    """Leftmost-longest (i, j) with s[i:j] nonempty and M_{s[:i] s[j:]} ~q M_s,
-    or None when s is irreducible.
+def is_irreducible(dfa: Dfa, s: Sequence[int], q: int) -> bool:
+    """No factorization s = u t v with t nonempty collapses to M_{uv} ~q M_s.
 
-    M_s has a full q-column, so the split is removable exactly when the
-    image of all states under s[:i] lies inside the q-column of s[j:].
+    Since M_s has a full q-column, a collapse means u v alone already
+    resets everything to q: the image of all states under u lies inside
+    the q-column of v.  All O(|s|^2) split pairs are checked.
     """
     s, cols = _suffix_columns(dfa, s, q)
     img = dfa.full_set
     for i in range(len(s)):
-        for j in range(len(s), i, -1):
-            if img & ~cols[j] == 0:
-                return i, j
+        if any(img & ~col == 0 for col in cols[i + 1:]):
+            return False
         img = image(dfa, img, s[i:i + 1])
-    return None
-
-
-def is_irreducible(dfa: Dfa, s: Sequence[int], q: int) -> bool:
-    """No factorization s = u t v with t nonempty collapses to M_{uv} ~q M_s.
-
-    Since M_s has a full q-column, a collapse means u v alone already resets
-    everything to q; all O(|s|^2) split pairs are checked.
-    """
-    return _removable_split(dfa, s, q) is None
-
-
-def reduce_word(dfa: Dfa, s: Sequence[int], q: int) -> Word:
-    """Strip removable infixes until the word is irreducible.
-
-    Each step removes the leftmost-longest infix whose deletion leaves the
-    q-column intact (deterministic greedy order); the result still resets
-    to q and is never longer than s.
-    """
-    s = tuple(s)
-    while (split := _removable_split(dfa, s, q)) is not None:
-        i, j = split
-        s = s[:i] + s[j:]
-    return s
+    return True
 
 
 def suffix_distinctness_check(dfa: Dfa, s: Sequence[int], q: int) -> bool:

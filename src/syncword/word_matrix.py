@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automaton import Dfa, apply, word_map
+from .automaton import Dfa, word_map
 from .errors import DfaError
 
 
@@ -51,7 +51,7 @@ def identity(n: int) -> WordMatrix:
 
 
 def matrix_of_word(dfa: Dfa, w: Sequence[int]) -> WordMatrix:
-    """Matrix with row i mapping to column apply(dfa, i, w)."""
+    """Matrix with row i mapping to column i·w."""
     return _trusted(tuple(word_map(dfa, w)))
 
 
@@ -79,11 +79,6 @@ def rank(M: WordMatrix) -> int:
     return nonzero_columns(M).bit_count()
 
 
-def is_reset_matrix(M: WordMatrix) -> bool:
-    """True iff all units sit in one column (the matrix of a reset word)."""
-    return rank(M) == 1
-
-
 def dense(M: WordMatrix) -> list[list[int]]:
     """The n x n 0/1 view, row-major."""
     n = M.n
@@ -98,24 +93,6 @@ def render(M: WordMatrix) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in dense(M))
 
 
-def power(M: WordMatrix, e: int) -> WordMatrix:
-    """e-fold composition, e >= 0."""
-    if e < 0:
-        raise DfaError("negative power")
-    out = identity(M.n)
-    while e:
-        if e & 1:
-            out = multiply(out, M)
-        M = multiply(M, M)
-        e >>= 1
-    return out
-
-
 def matrices_of_letters(dfa: Dfa) -> list[WordMatrix]:
     """The k one-letter matrices, by letter index."""
     return [matrix_of_word(dfa, (c,)) for c in range(dfa.k)]
-
-
-def verify_word_action(dfa: Dfa, M: WordMatrix, w: Sequence[int]) -> bool:
-    """Cross-check: M agrees with the state-by-state action of w."""
-    return all(M.rows[p] == apply(dfa, p, w) for p in range(dfa.n))

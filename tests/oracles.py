@@ -5,12 +5,49 @@ from plain word enumeration or a frozenset search, ranks from fraction-free
 integer elimination, reachability from per-state searches.
 """
 
+from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
-from syncword import Dfa, ScanConfig, ScanReport, apply, image
+from syncword import Dfa, DfaError, ScanConfig, ScanReport, image
 from syncword import enumeration
 from syncword.enumeration import canonical_flat, flat_to_dfa
+
+
+def apply(dfa: Dfa, p: int, w) -> int:
+    """State reached from p by reading w left to right, one letter at a
+    time; the empty word returns p."""
+    if not 0 <= p < dfa.n:
+        raise DfaError(f"state {p} out of range [0, {dfa.n})")
+    for c in w:
+        if not 0 <= c < dfa.k:
+            raise DfaError(f"letter {c} out of range [0, {dfa.k})")
+        p = dfa.delta[c][p]
+    return p
+
+
+def index_to_flat(idx: int, n: int, k: int) -> list[int]:
+    """Digits of a table index base n, most significant first; length nk."""
+    flat = [0] * (n * k)
+    for pos in range(n * k - 1, -1, -1):
+        flat[pos] = idx % n
+        idx //= n
+    return flat
+
+
+def dfa_to_flat(dfa: Dfa) -> tuple[int, ...]:
+    """The letter-major flat table of an automaton."""
+    return tuple(t for row in dfa.delta for t in row)
+
+
+def combine(basis, d) -> tuple:
+    """Re-sum a Decomposition over its basis list, exactly."""
+    width = len(basis[0]) if basis else 0
+    out = [0] * width
+    for i, lam in d.coefficients:
+        for j in range(width):
+            out[j] += lam * Fraction(basis[i][j])
+    return tuple(out)
 
 
 def relabel_flat(flat, n: int, k: int, perm) -> tuple[int, ...]:
@@ -118,22 +155,14 @@ def preimage_count(dfa: Dfa, w, q: int) -> int:
 
 
 def brute_removable_split(dfa: Dfa, s, q: int):
-    """Leftmost-longest (i, j), j > i, such that s[:i] + s[j:] sends every
-    state to q, or None.  Each candidate word is applied state by state."""
+    """Some (i, j), j > i, such that s[:i] + s[j:] sends every state to q,
+    or None.  Each candidate word is applied state by state."""
     for i in range(len(s)):
         for j in range(len(s), i, -1):
             w = tuple(s[:i]) + tuple(s[j:])
             if all(apply(dfa, p, w) == q for p in range(dfa.n)):
                 return i, j
     return None
-
-
-def brute_reduce(dfa: Dfa, s, q: int):
-    """Remove leftmost-longest removable infixes until none is left."""
-    s = tuple(s)
-    while (split := brute_removable_split(dfa, s, q)) is not None:
-        s = s[:split[0]] + s[split[1]:]
-    return s
 
 
 def strongly_connected_class_count(n: int, k: int) -> int:

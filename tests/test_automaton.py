@@ -1,13 +1,17 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from syncword import (Dfa, DfaError, DfaParseError, KARI_WORD, ROMAN_WORD,
-                      apply, builtin_automaton, cerny_automaton, cerny_word,
-                      dfa_from_json, dfa_to_json, image, is_strongly_connected,
-                      kari_automaton, mask_of, parse_dfa, roman_automaton,
-                      serialize_dfa, states_of, word_from_str, word_to_str)
+from syncword import (Dfa, DfaError, KARI_WORD, ROMAN_WORD, builtin_automaton,
+                      cerny_automaton, cerny_word, image, is_strongly_connected,
+                      kari_automaton, roman_automaton, serialize_dfa,
+                      word_to_str)
+from syncword.automaton import (dfa_from_json, parse_dfa, states_of,
+                                word_from_str)
+from syncword.errors import DfaParseError
 
-from oracles import all_pairs_reachable
+from oracles import all_pairs_reachable, apply
 
 
 def small_dfas(max_n=5, max_k=3):
@@ -81,13 +85,12 @@ def test_image_trivial_and_examples():
     d = cerny_automaton(4)
     assert image(d, d.full_set, ()) == d.full_set
     assert image(d, d.full_set, cerny_word(4)) == 1 << 1
-    assert image(d, mask_of([0, 1], 4), (1,)) == 1 << 1
+    assert image(d, 0b0011, (1,)) == 1 << 1
 
 
 def test_mask_helpers():
-    assert states_of(mask_of([3, 0], 4)) == [0, 3]
-    with pytest.raises(DfaError):
-        mask_of([4], 4)
+    assert states_of(0b1001) == [0, 3]
+    assert states_of(0) == []
 
 
 @given(small_dfas().flatmap(lambda d: st.tuples(
@@ -147,6 +150,7 @@ def test_known_words_synchronize():
         d = cerny_automaton(n)
         img = image(d, d.full_set, cerny_word(n))
         assert img & (img - 1) == 0
+        assert len(cerny_word(n)) == (n - 1) ** 2
 
 
 def test_word_text_round_trip():
@@ -173,7 +177,8 @@ def test_serialize_round_trip_cerny():
 @given(small_dfas())
 def test_serialize_round_trip_random(d):
     assert parse_dfa(serialize_dfa(d)) == d
-    assert dfa_from_json(dfa_to_json(d)) == d
+    mirror = {"n": d.n, "k": d.k, "delta": [list(row) for row in d.delta]}
+    assert dfa_from_json(json.dumps(mirror)) == d
 
 
 def test_parse_comments_and_layout():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import syncword
-from syncword import Dfa, parse_dfa
+from syncword import Dfa
+from syncword.automaton import parse_dfa
 from syncword.cli import main
 
 

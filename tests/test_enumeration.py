@@ -9,21 +9,23 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncword import (CapacityError, CheckResult, Dfa, ResetResult,
-                      ScanConfig, canonical_flat, claim_checks,
+from syncword import (CapacityError, Dfa, ResetResult, ScanConfig,
                       cerny_automaton, cerny_word, enumerate_dfas,
-                      extremal_scan, independent_suffix_length,
-                      is_strongly_connected, shortest_reset_word,
-                      suffix_closed_dimension_check, verify_automaton,
-                      verify_example_suite)
+                      extremal_scan, is_strongly_connected,
+                      shortest_reset_word)
 import syncword
 from syncword import (automaton, cli, enumeration, linspace, series, sync,
                       word_matrix)
-from syncword.enumeration import (EXAMPLE_EXPECTATIONS, _is_canonical,
-                                  _letter_multisets, _relabelings, _word_pool,
-                                  dfa_to_flat, flat_to_dfa, index_to_flat)
+from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
+                                  _is_canonical, _letter_multisets,
+                                  _relabelings, _word_pool, canonical_flat,
+                                  claim_checks, flat_to_dfa,
+                                  independent_suffix_length,
+                                  suffix_closed_dimension_check,
+                                  verify_automaton)
 
-from oracles import (all_pairs_reachable, reference_scan, relabel_flat,
+from oracles import (all_pairs_reachable, dfa_to_flat, index_to_flat,
+                     reference_scan, relabel_flat,
                      strongly_connected_class_count)
 
 
@@ -546,12 +548,16 @@ def test_verify_flags_a_series_that_is_not_linear(monkeypatch):
     assert results["coefficient-sum"].passed
 
 
-def test_verify_example_suite_all_green():
-    suite = verify_example_suite()
-    assert set(suite) == set(EXAMPLE_EXPECTATIONS)
-    for name, results in suite.items():
-        for r in results:
-            assert r.passed, f"{name}: {r.name} failed: {r.detail}"
+def test_q_relation_failures_name_the_first_triple_and_its_least_state(monkeypatch):
+    # each check tests every state of a triple at once; the detail must
+    # still be the first failing triple in sample order, with its least q
+    monkeypatch.setattr(sync, "multiply", lambda A, B: word_matrix.WordMatrix(
+        tuple(A.rows[j] for j in B.rows)))
+    results = {r.name: r for r in verify_automaton(cerny_automaton(4))}
+    assert results["left-stability"].detail == (
+        "((0, 0, 1), (0, 1, 1, 0, 0, 1, 0), (0, 1, 0, 0, 1, 1, 0, 1), 2)")
+    assert results["reset-collapse"].detail == (
+        "((1, 0, 0, 0, 1, 1, 1), (0, 0), (1, 1, 0, 0, 1, 1, 0), 1)")
 
 
 def test_check_result_to_dict():

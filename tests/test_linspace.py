@@ -9,9 +9,9 @@ from syncword import (DfaError, Decomposition, RowEchelon, WordMatrix,
                       identity, kari_automaton, letter_closure_check,
                       matrix_of_word, span_dimension, standard_basis,
                       word_matrix_span)
-from syncword.linspace import combine, left_multiply_flat
+from syncword.linspace import left_multiply_flat
 
-from oracles import int_flat, int_rank
+from oracles import combine, int_flat, int_rank
 
 
 def family_on_columns(n, k):

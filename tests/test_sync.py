@@ -11,16 +11,15 @@ from hypothesis import assume, given, settings, strategies as st
 from syncword import (CapacityError, CheckFailure, Dfa, DfaError, KARI_WORD,
                       ROMAN_WORD, ResetResult,
                       WordMatrix, cerny_automaton, cerny_word, identity, image,
-                      is_irreducible, is_synchronizing, kari_automaton,
-                      left_stability_check, matrix_of_word, multiply,
-                      near_sync_suffixes, q_column, q_equivalent, q_preceq,
-                      reduce_word, reset_collapse_check, roman_automaton,
-                      shortest_reset_word, suffix_distinctness_check,
-                      word_from_str)
+                      is_irreducible, kari_automaton, matrix_of_word, multiply,
+                      roman_automaton, shortest_reset_word)
 from syncword import sync
-from syncword.sync import _removable_split
+from syncword.automaton import word_from_str
+from syncword.sync import (is_synchronizing, left_stability_check,
+                           near_sync_suffixes, q_column, q_equivalent,
+                           reset_collapse_check, suffix_distinctness_check)
 
-from oracles import (brute_minimal_reset, brute_reduce, brute_removable_split,
+from oracles import (brute_minimal_reset, brute_removable_split,
                      frozenset_minimal_reset)
 
 
@@ -253,27 +252,15 @@ def test_q_equivalent_cases():
     assert not q_equivalent(E, reset, 1)
 
 
-def test_q_preceq_cases():
-    d = cerny_automaton(4)
-    E = matrix_of_word(d, ())
-    reset = matrix_of_word(d, cerny_word(4))
-    assert q_preceq(E, E, 0)
-    no_preimage = matrix_of_word(d, (1,))
-    assert q_preceq(no_preimage, E, 0)  # empty column is below anything
-    assert not q_preceq(reset, E, 1)
-    assert q_preceq(E, reset, 1)
-
-
 def test_left_stability_trivial_and_exhaustive_small():
     d = kari_automaton()
     M = {w: matrix_of_word(d, w) for L in range(3)
          for w in product(range(2), repeat=L)}
-    assert left_stability_check(M[(0,)], M[(1, 0)], M[(1, 0)], 3)
+    assert left_stability_check(M[(0,)], M[(1, 0)], M[(1, 0)]) is None
     for a in M:
         for u in M:
             for v in M:
-                for q in range(d.n):
-                    assert left_stability_check(M[a], M[u], M[v], q)
+                assert left_stability_check(M[a], M[u], M[v]) is None
 
 
 def test_reset_collapse_nonvacuous_instance():
@@ -283,13 +270,13 @@ def test_reset_collapse_nonvacuous_instance():
     Mt = matrix_of_word(d, t)
     assert Mu != Mv and q_equivalent(Mu, Mv, q)
     assert q_column(multiply(Mt, Mv), q) == d.full_set  # premises really hold
-    assert reset_collapse_check(Mt, Mu, Mv, q)
+    assert reset_collapse_check(Mt, Mu, Mv) is None
     assert multiply(Mt, Mu) == multiply(Mt, Mv)
 
 
 def test_reset_collapse_vacuous_cases():
     d = roman_automaton()
-    assert reset_collapse_check(*(matrix_of_word(d, (c,)) for c in range(3)), 0)
+    assert reset_collapse_check(*(matrix_of_word(d, (c,)) for c in range(3))) is None
 
 
 def _reversed_composition(A, B):
@@ -301,30 +288,31 @@ def test_left_stability_fails_under_a_wrong_composition(monkeypatch):
     d = cerny_automaton(3)
     Ma, Mu, Mv = (matrix_of_word(d, word_from_str(w)) for w in ("a", "", "b"))
     assert q_equivalent(Mu, Mv, 2)  # the premise holds
-    assert left_stability_check(Ma, Mu, Mv, 2)
+    assert left_stability_check(Ma, Mu, Mv) is None
     monkeypatch.setattr(sync, "multiply", _reversed_composition)
-    assert not left_stability_check(Ma, Mu, Mv, 2)
+    assert left_stability_check(Ma, Mu, Mv) == 2
 
 
 def test_reset_collapse_fails_under_a_wrong_composition(monkeypatch):
     d = cerny_automaton(3)
     Mt, Mu, Mv = (matrix_of_word(d, word_from_str(w))
                   for w in ("a", "", "baab"))
-    assert q_preceq(Mv, Mu, 2)  # the premise holds
-    assert reset_collapse_check(Mt, Mu, Mv, 2)
+    assert q_column(Mv, 2) & ~q_column(Mu, 2) == 0  # the premise holds
+    assert reset_collapse_check(Mt, Mu, Mv) is None
     monkeypatch.setattr(sync, "multiply", _reversed_composition)
-    assert not reset_collapse_check(Mt, Mu, Mv, 2)
+    assert reset_collapse_check(Mt, Mu, Mv) == 2
 
 
 def test_q_relation_checks_reject_bad_q_and_sizes():
     E3, E4 = identity(3), identity(4)
+    with pytest.raises(DfaError):
+        q_equivalent(E3, E3, 3)
+    with pytest.raises(DfaError):
+        q_equivalent(E3, E4, 0)
     for check in (left_stability_check, reset_collapse_check):
-        with pytest.raises(DfaError):
-            check(E3, E3, E3, 3)
-        with pytest.raises(DfaError):
-            check(E3, E3, E4, 0)
-        with pytest.raises(DfaError):
-            check(E3, E4, E3, 0)
+        for sizes in ((E3, E3, E4), (E3, E4, E3), (E4, E3, E3)):
+            with pytest.raises(DfaError):
+                check(*sizes)
 
 
 @settings(max_examples=200)
@@ -364,42 +352,6 @@ def test_irreducibility_precondition():
         is_irreducible(d, cerny_word(4), 2)  # resets to 1, not 2
 
 
-def test_reduce_keeps_irreducible_word():
-    d = kari_automaton()
-    assert reduce_word(d, KARI_WORD, 1) == KARI_WORD
-
-
-def test_reduce_strips_inserted_full_cycle():
-    d = cerny_automaton(4)
-    s = cerny_word(4)
-    padded = s[:1] + (0, 0, 0, 0) + s[1:]  # a^4 acts as the identity
-    assert reduce_word(d, padded, 1) == s
-
-
-def test_reduce_doubled_word():
-    d = cerny_automaton(4)
-    s = cerny_word(4)
-    reduced = reduce_word(d, s + s, 1)
-    assert reduced == s
-    assert is_irreducible(d, reduced, 1)
-
-
-@given(st.integers(3, 5), st.integers(0, 30))
-@settings(max_examples=25)
-def test_reduce_output_always_irreducible(n, pad_seed):
-    d = cerny_automaton(n)
-    s = cerny_word(n)
-    # splice a letter-repeat block somewhere in the middle
-    pos = 1 + pad_seed % (len(s) - 1)
-    padded = s[:pos] + (0,) * n + s[pos:]
-    if image(d, d.full_set, padded) != 1 << 1:
-        padded = s
-    out = reduce_word(d, padded, 1)
-    assert is_irreducible(d, out, 1)
-    assert image(d, d.full_set, out) == 1 << 1
-    assert len(out) <= len(padded)
-
-
 @st.composite
 def padded_reset_words(draw):
     """A synchronizing table with n <= 6 and a reset word u s v, where s is
@@ -420,10 +372,7 @@ def padded_reset_words(draw):
 @given(padded_reset_words())
 def test_reduction_matches_brute_force_split_oracle(case):
     d, w, q = case
-    split = brute_removable_split(d, w, q)
-    assert _removable_split(d, w, q) == split
-    assert is_irreducible(d, w, q) == (split is None)
-    assert reduce_word(d, w, q) == brute_reduce(d, w, q)
+    assert is_irreducible(d, w, q) == (brute_removable_split(d, w, q) is None)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from syncword import (DfaError, WordMatrix, cerny_automaton, cerny_word,
-                      dense, identity, is_reset_matrix, kari_automaton,
-                      matrix_of_word, multiply, nonzero_columns, rank, render,
-                      roman_automaton)
-from syncword.word_matrix import power, verify_word_action
+                      identity, kari_automaton, matrix_of_word, multiply,
+                      nonzero_columns, rank, render)
+from syncword.word_matrix import dense
 
-from oracles import int_flat, int_rank
+from oracles import apply, int_flat, int_rank
 
 
 def c4_words(max_len):
@@ -31,7 +30,7 @@ def test_reset_word_matrix_single_column():
     M = matrix_of_word(d, cerny_word(4))
     assert M.rows == (1, 1, 1, 1)
     assert nonzero_columns(M) == 1 << 1
-    assert is_reset_matrix(M)
+    assert rank(M) == 1
     cols = {j for row in dense(M) for j, x in enumerate(row) if x}
     assert cols == {1}
 
@@ -57,6 +56,7 @@ def test_multiply_matches_word_concatenation_exhaustively():
     d = cerny_automaton(4)
     words = c4_words(3)
     for u in words:
+        assert matrix_of_word(d, u).rows == tuple(apply(d, p, u) for p in range(4))
         for v in words:
             assert multiply(matrix_of_word(d, u), matrix_of_word(d, v)) == \
                 matrix_of_word(d, u + v)
@@ -95,13 +95,6 @@ def test_rank_examples():
     assert rank(matrix_of_word(d, (1,))) == 3
 
 
-def test_is_reset_matrix_examples():
-    d = cerny_automaton(4)
-    assert not is_reset_matrix(identity(4))
-    assert is_reset_matrix(matrix_of_word(d, cerny_word(4)))
-    assert not is_reset_matrix(matrix_of_word(d, (1,)))
-
-
 @given(st.integers(2, 8).flatmap(lambda n: st.lists(
     st.integers(0, n - 1), min_size=n, max_size=n)))
 def test_rank_matches_elimination_oracle(rows):
@@ -130,21 +123,6 @@ def test_column_inclusion_along_prefixes():
 
 def test_render_grid():
     assert render(identity(2)) == "1 0\n0 1"
-
-
-def test_power():
-    d = cerny_automaton(4)
-    Ma = matrix_of_word(d, (0,))
-    assert power(Ma, 4) == identity(4)
-    assert power(Ma, 0) == identity(4)
-    with pytest.raises(DfaError):
-        power(Ma, -1)
-
-
-def test_verify_word_action():
-    d = roman_automaton()
-    w = (2, 0, 1)
-    assert verify_word_action(d, matrix_of_word(d, w), w)
 
 
 def test_flat_oracle_helper_consistent():
