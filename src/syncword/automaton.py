@@ -64,18 +64,6 @@ class Dfa:
         return w
 
 
-def states_of(mask: int) -> list[int]:
-    """Ascending list of states present in a bitmask."""
-    out = []
-    p = 0
-    while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
-    return out
-
-
 def word_map(dfa: Dfa, w: Sequence[int]) -> list[int]:
     """State map of w: entry p is p·w.  The letters are validated once."""
     w = dfa.check_word(w)
@@ -121,7 +109,8 @@ def table_strongly_connected(flat: Sequence[int], n: int) -> bool:
 
     Double reachability sweep from state 0 over successor and predecessor
     bitmasks: forward along edges, then along reversed edges; both must
-    cover all states.
+    cover all states.  The frontier is a bitmask too, taken lowest state
+    first.
     """
     succ = [0] * n
     pred = [0] * n
@@ -131,11 +120,13 @@ def table_strongly_connected(flat: Sequence[int], n: int) -> bool:
             succ[p] |= 1 << t
             pred[t] |= 1 << p
     for adj in (succ, pred):
-        seen, stack = 1, [0]
-        while stack:
-            fresh = adj[stack.pop()] & ~seen
+        seen = frontier = 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = adj[low.bit_length() - 1] & ~seen
             seen |= fresh
-            stack += states_of(fresh)
+            frontier |= fresh
         if seen != (1 << n) - 1:
             return False
     return True

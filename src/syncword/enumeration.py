@@ -236,6 +236,24 @@ def _canonical_map_fixers(n: int, k: int) -> dict[int, list[Relabeling]]:
     return out
 
 
+def _degree_masks(n: int) -> list[int]:
+    """Each one-letter map, by value: bit p if it moves state p, and bit
+    n + t if it sends another state to t.
+
+    In a strongly connected table with n >= 2 every state leaves for
+    another and is entered from another, so the masks of its letters OR
+    to all 2n bits.
+    """
+    out = []
+    for m in product(range(n), repeat=n):
+        mask = 0
+        for p, t in enumerate(m):
+            if t != p:
+                mask |= 1 << p | 1 << n + t
+        out.append(mask)
+    return out
+
+
 def _fill_images(images: list[list[int]], flat: Sequence[int], n: int,
                  built: list[int]) -> None:
     """Bring the per-letter subset-image rows up to date with a flat table.
@@ -328,6 +346,10 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
     """Scan the letter-map multisets whose rank is worker modulo workers.
 
     One BFS per multiset, weighted by the number of tables it stands for.
+    A strongly connected scan first rules out, by _degree_masks, the
+    multisets whose letters leave some state unmoved or unentered.  The
+    masks are built only for k >= 2, where n <= 5 under the enumeration
+    guard, so never for more than 3,125 maps.
     The maximal multisets are canonicalized once, after the maximum is
     known, and the violation lists hold each counted table.
     """
@@ -343,7 +365,15 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
     beyond_conjecture: list[tuple[int, ...]] = []
     images = [[0] * (1 << n) for _ in range(k)]
     built = [-1] * (n * k)
+    degrees = _degree_masks(n) if require_sc and k > 1 and n > 1 else None
+    all_degrees = (1 << 2 * n) - 1
     for values, flat in islice(_letter_multisets(n, k), worker, None, workers):
+        if degrees is not None:
+            seen = 0
+            for v in values:
+                seen |= degrees[v]
+            if seen != all_degrees:
+                continue
         if fixers is not None:
             weight = (0 if fixers.keys().isdisjoint(values) else
                       sum(1 for _ in _counted_tables(values, flat, n, fixers)))

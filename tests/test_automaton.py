@@ -7,8 +7,7 @@ from syncword import (Dfa, DfaError, KARI_WORD, ROMAN_WORD, builtin_automaton,
                       cerny_automaton, cerny_word, image, is_strongly_connected,
                       kari_automaton, roman_automaton, serialize_dfa,
                       word_to_str)
-from syncword.automaton import (dfa_from_json, parse_dfa, states_of,
-                                word_from_str)
+from syncword.automaton import dfa_from_json, parse_dfa, word_from_str
 from syncword.errors import DfaParseError
 
 from oracles import all_pairs_reachable, apply
@@ -86,11 +85,6 @@ def test_image_trivial_and_examples():
     assert image(d, d.full_set, ()) == d.full_set
     assert image(d, d.full_set, cerny_word(4)) == 1 << 1
     assert image(d, 0b0011, (1,)) == 1 << 1
-
-
-def test_mask_helpers():
-    assert states_of(0b1001) == [0, 3]
-    assert states_of(0) == []
 
 
 @given(small_dfas().flatmap(lambda d: st.tuples(

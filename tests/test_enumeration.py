@@ -312,6 +312,23 @@ def test_witnesses_are_canonicalized_once_per_counted_table(monkeypatch):
         assert len(calls) == len(set(calls)) == count
 
 
+def test_strongly_connected_scan_rules_out_multisets_by_degree_masks(monkeypatch):
+    # of the 32,896 multisets of two 4-state maps, 11,685 move and enter
+    # every state; 10,482 of those are strongly connected
+    real = enumeration.table_strongly_connected
+    calls = []
+
+    def counting(flat, n):
+        calls.append(tuple(flat))
+        return real(flat, n)
+
+    monkeypatch.setattr(enumeration, "table_strongly_connected", counting)
+    report = extremal_scan(ScanConfig(4, 2, require_strongly_connected=True))
+    assert report.total == 20958
+    assert len(calls) == 11685
+    assert sum(real(flat, 4) for flat in calls) == 10482
+
+
 def test_scan_holds_no_list_of_all_letter_maps():
     # 6^6 = 46,656 one-letter tables
     tracemalloc.start()

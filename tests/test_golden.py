@@ -42,7 +42,8 @@ def cases() -> dict[str, list[str]]:
         out[f"profile-{slug}.json"] = ["profile", name, "--json"]
     scans = [(3, 2, []), (3, 2, ["--canonical"]), (4, 2, []),
              (4, 2, ["--canonical"]), (3, 3, []), (3, 3, ["--canonical"]),
-             (2, 4, ["--strongly-connected"])]
+             (2, 4, ["--strongly-connected"]),
+             (4, 2, ["--strongly-connected"])]
     for n, k, flags in scans:
         tag = "".join("-" + flag.removeprefix("--") for flag in flags)
         out[f"scan-n{n}-k{k}{tag}.json"] = [
