@@ -3,8 +3,7 @@
 Run with:  python demos/exhaustive_scan.py
 """
 
-from syncword import (ScanConfig, enumerate_dfas, extremal_scan,
-                      shortest_reset_word)
+from syncword import ScanConfig, extremal_scan, shortest_reset_word
 from syncword.enumeration import flat_to_dfa
 
 # All 3^6 = 729 binary 3-state tables, no filters.  The longest shortest
@@ -28,11 +27,11 @@ print("witnesses re-verified")
 print()
 
 # Relabeling classes: the canonical filter keeps the least table per class.
-full = sum(1 for _ in enumerate_dfas(ScanConfig(2, 2)))
-classes = sum(1 for _ in enumerate_dfas(ScanConfig(2, 2, canonicalize=True)))
+full = extremal_scan(ScanConfig(2, 2)).total
+classes = extremal_scan(ScanConfig(2, 2, canonicalize=True)).total
 print(f"2-state binary tables: {full} raw, {classes} up to relabeling")
 
 # Filters compose: strongly connected representatives only.
-sc = sum(1 for _ in enumerate_dfas(
-    ScanConfig(2, 2, require_strongly_connected=True, canonicalize=True)))
+sc = extremal_scan(
+    ScanConfig(2, 2, require_strongly_connected=True, canonicalize=True)).total
 print(f"strongly connected classes: {sc}")

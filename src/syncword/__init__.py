@@ -13,7 +13,7 @@ from .automaton import (Dfa, KARI_WORD, ROMAN_WORD, builtin_automaton,
                         cerny_automaton, cerny_word, image,
                         is_strongly_connected, kari_automaton,
                         roman_automaton, serialize_dfa, word_to_str)
-from .errors import CapacityError, CheckFailure, DfaError
+from .errors import CapacityError, DfaError
 from .word_matrix import (WordMatrix, identity, matrix_of_word, multiply,
                           nonzero_columns, rank, render)
 from .linspace import (Decomposition, RowEchelon, coefficient_sum, decompose,
@@ -22,7 +22,6 @@ from .linspace import (Decomposition, RowEchelon, coefficient_sum, decompose,
 from .series import (SeriesContext, suffix_profile, suffix_space_dimensions,
                      threshold_count)
 from .sync import ResetResult, is_irreducible, shortest_reset_word
-from .enumeration import (ScanConfig, ScanReport, enumerate_dfas,
-                          extremal_scan)
+from .enumeration import ScanConfig, ScanReport, extremal_scan
 
 __version__ = "0.1.0"

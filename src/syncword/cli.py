@@ -108,12 +108,13 @@ def cmd_reset_word(args) -> int:
         "target": result.target,
         "states_expanded": result.states_expanded,
     }
-    ctx = series.SeriesContext.for_state(dfa, result.target)
     if args.profile:
-        payload["profile"] = [[length, value] for length, value
-                              in series.suffix_profile(ctx, result.word)]
+        profile = series.suffix_profile(
+            series.SeriesContext.for_state(dfa, result.target), result.word)
+        payload["profile"] = [[length, value] for length, value in profile]
     if args.show_matrix:
-        payload["matrix"] = dense(matrix_of_word(dfa, result.word))
+        matrix = matrix_of_word(dfa, result.word)
+        payload["matrix"] = dense(matrix)
     if args.check_lemmas:
         payload["checks"] = [{"name": r.name, "passed": r.passed}
                              for r in enumeration.claim_checks(dfa, result)]
@@ -132,13 +133,13 @@ def cmd_reset_word(args) -> int:
              f"subsets expanded: {result.states_expanded}"]
     if args.show_matrix:
         lines.append("matrix:")
-        lines.append(render(matrix_of_word(dfa, result.word)))
+        lines.append(render(matrix))
     if args.check_lemmas:
         for entry in payload["checks"]:
             lines.append(f"[{'PASS' if entry['passed'] else 'FAIL'}] {entry['name']}")
     out = "\n".join(lines) + "\n"
     if args.profile:
-        out += _profile_lines(dfa, series.suffix_profile(ctx, result.word), False)
+        out += _profile_lines(dfa, profile, False)
     _emit(out, args.out)
     return code
 

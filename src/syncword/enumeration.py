@@ -17,6 +17,7 @@ import os
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice, permutations, product
 from math import comb
 from typing import BinaryIO, Iterator, Sequence
@@ -24,7 +25,7 @@ from typing import BinaryIO, Iterator, Sequence
 from . import linspace, series, sync
 from .automaton import (Dfa, Word, image, KARI_WORD, ROMAN_WORD, suffix_maps,
                         table_strongly_connected, word_to_str)
-from .errors import CapacityError, CheckFailure, DfaError
+from .errors import CapacityError, DfaError
 from .word_matrix import (WordMatrix, dense, identity, matrix_of_word,
                           matrices_of_letters, multiply, nonzero_columns, rank)
 
@@ -57,12 +58,11 @@ class ScanConfig:
 
     def check_guard(self):
         nk = self.n * self.k
-        # n > 1 gives n^nk >= 2^nk, which exceeds the guard from this
-        # exponent on; rejecting here never builds the power itself
-        if (self.n > 1 and nk >= ENUMERATION_GUARD.bit_length()
-                or self.table_count > ENUMERATION_GUARD):
-            raise CapacityError(f"{self.n}^{nk} tables exceed the "
-                                f"enumeration guard {ENUMERATION_GUARD}")
+        # from this exponent on, n > 1 gives n^nk >= 2^nk tables, and n = 1
+        # one table whose scan still costs O(k); the power is never built
+        if nk >= ENUMERATION_GUARD.bit_length() or self.table_count > ENUMERATION_GUARD:
+            raise CapacityError(f"{self.n}^{nk} tables: the enumeration guard needs "
+                                f"n*k < 30 and at most {ENUMERATION_GUARD} tables")
         if self.canonicalize and self.n > CANONICAL_MAX_N:
             raise CapacityError(
                 f"canonicalization is O(n!) per table; capped at n <= {CANONICAL_MAX_N}")
@@ -72,33 +72,12 @@ def flat_to_dfa(flat: Sequence[int], n: int, k: int) -> Dfa:
     return Dfa(n, k, tuple(tuple(flat[c * n:(c + 1) * n]) for c in range(k)))
 
 
-def canonical_flat(flat: Sequence[int], n: int, k: int) -> tuple[int, ...]:
-    """Lexicographically least table over all state relabelings.
-
-    The relabeling that sends state inv[new] to new puts
-    inv.index(flat[c*n + inv[q]]) at entry c*n + q.  Each relabeling is
-    compared with the least table so far only up to its first differing
-    entry, and built in full only when it is smaller.
-    """
-    nk = n * k
-    best = tuple(flat)
-    for inv in permutations(range(n)):
-        for j in range(nk):
-            base = j - j % n
-            t = inv.index(flat[base + inv[j - base]])
-            if t != best[j]:
-                if t < best[j]:
-                    best = tuple([inv.index(flat[c + old])
-                                  for c in range(0, nk, n) for old in inv])
-                break
-    return best
-
-
 # (perm, src): entry j of the relabeled table is perm[flat[src[j]]]
-Relabeling = tuple[tuple[int, ...], list[int]]
+Relabeling = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _relabelings(n: int, k: int) -> list[Relabeling]:
+@cache
+def _relabelings(n: int, k: int) -> tuple[Relabeling, ...]:
     """Every relabeling but the identity, as (perm, src) pairs."""
     out = []
     for perm in permutations(range(n)):
@@ -107,15 +86,32 @@ def _relabelings(n: int, k: int) -> list[Relabeling]:
         inv = [0] * n
         for old, new in enumerate(perm):
             inv[new] = old
-        out.append((perm, [c * n + inv[q] for c in range(k) for q in range(n)]))
-    return out
+        out.append((perm, tuple(c * n + inv[q] for c in range(k) for q in range(n))))
+    return tuple(out)
 
 
-def _is_canonical(flat: Sequence[int], relabelings: list[Relabeling]) -> bool:
+def canonical_flat(flat: Sequence[int], n: int, k: int) -> tuple[int, ...]:
+    """Lexicographically least table over all state relabelings.
+
+    Each relabeling is compared with the least table so far only up to
+    their first differing entry, and built in full only when it is smaller.
+    """
+    best = tuple(flat)
+    for perm, src in _relabelings(n, k):
+        for j, s in enumerate(src):
+            t = perm[flat[s]]
+            if t != best[j]:
+                if t < best[j]:
+                    best = tuple([perm[flat[s]] for s in src])
+                break
+    return best
+
+
+def _is_canonical(flat: Sequence[int], relabelings: Sequence[Relabeling]) -> bool:
     """Is the table no greater than any of its relabelings?
 
-    Equivalent to tuple(flat) == canonical_flat(flat, n, k), but each
-    relabeling is compared entry by entry only up to its first difference.
+    Equivalent to tuple(flat) == canonical_flat(flat, n, k), but stops at
+    the first relabeling smaller than the table.
     """
     for perm, src in relabelings:
         for j, s in enumerate(src):
@@ -125,28 +121,6 @@ def _is_canonical(flat: Sequence[int], relabelings: list[Relabeling]) -> bool:
                     return False
                 break
     return True
-
-
-def enumerate_dfas(cfg: ScanConfig) -> Iterator[Dfa]:
-    """Yield every transition table, in index order, honoring the filters.
-
-    With canonicalize, only tables equal to their canonical form are
-    yielded: exactly one representative (the least) per relabeling class.
-    A canonical table starts with a canonical one-letter map, and only the
-    relabelings that fix that map are tried (see _counted_tables).
-    """
-    cfg.check_guard()
-    n, k = cfg.n, cfg.k
-    fixers = _canonical_map_fixers(n, k) if cfg.canonicalize else None
-    for value, first in enumerate(product(range(n), repeat=n)):
-        if fixers is not None and value not in fixers:
-            continue
-        for rest in product(range(n), repeat=n * (k - 1)):
-            flat = first + rest
-            if ((fixers is None or _is_canonical(flat, fixers[value]))
-                    and (not cfg.require_strongly_connected
-                         or table_strongly_connected(flat, n))):
-                yield flat_to_dfa(flat, n, k)
 
 
 def _letter_multisets(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -556,20 +530,18 @@ def claim_checks(dfa: Dfa, best: sync.ResetResult) -> list[CheckResult]:
     the near-synchronizing suffixes, in the battery's order; shared by
     `verify` and `reset-word --check-lemmas`.
     """
-    s, q = best.word, best.target
-    ctx = series.SeriesContext.for_state(dfa, q)
-    try:
-        space = True, f"dims {series.suffix_space_dimensions(ctx, s)}"
-    except CheckFailure as e:
-        space = False, f"i={e.args[0][1]}: {e}"
-    try:
-        near = True, f"{len(sync.near_sync_suffixes(dfa, best))} suffixes"
-    except CheckFailure as e:
-        near = False, str(e)
-    return [CheckResult("suffix-space-bound", *space),
+    s, q, n = best.word, best.target, dfa.n
+    dims = series.suffix_space_dimensions(series.SeriesContext.for_state(dfa, q), s)
+    # level i has dimension at most (i-1)n+1; the first level above it fails
+    over = next((i for i, dim in enumerate(dims, 1) if dim > (i - 1) * n + 1), None)
+    found, failure = sync.near_sync_suffixes(dfa, best)
+    return [CheckResult("suffix-space-bound", over is None,
+                        f"dims {dims}" if over is None
+                        else f"i={over}: {(dims[over - 1], over, n)}"),
             CheckResult("irreducible", sync.is_irreducible(dfa, s, q)),
             CheckResult("suffix-distinct", sync.suffix_distinctness_check(dfa, s, q)),
-            CheckResult("near-sync-suffixes", *near)]
+            CheckResult("near-sync-suffixes", failure is None,
+                        failure or f"{len(found)} suffixes")]
 
 
 def _word_pool(dfa: Dfa) -> list[Word]:

@@ -17,10 +17,3 @@ class DfaParseError(DfaError):
 
 class CapacityError(RuntimeError):
     """Search space exceeds the configured limit (subset BFS cap, scan guard)."""
-
-
-class CheckFailure(Exception):
-    """A claim checked at run time does not hold on this input.
-
-    Raised instead of `assert` so that `python -O` cannot change a verdict.
-    """

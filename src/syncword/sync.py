@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .automaton import Dfa, Word, image, suffix_maps
-from .errors import CapacityError, CheckFailure, DfaError
+from .errors import CapacityError, DfaError
 from .word_matrix import WordMatrix, multiply
 
 DEFAULT_SUBSET_LIMIT = 24
@@ -330,15 +330,15 @@ def suffix_distinctness_check(dfa: Dfa, s: Sequence[int], q: int) -> bool:
     return all(longer & ~shorter for longer, shorter in combinations(cols, 2))
 
 
-def near_sync_suffixes(dfa: Dfa, best: ResetResult) -> list[Word]:
+def near_sync_suffixes(dfa: Dfa, best: ResetResult) -> tuple[list[Word], str | None]:
     """Suffixes of a minimal reset word whose value is n-2: one state astray.
 
     `best` is the result of shortest_reset_word, whose word is minimal;
     its word must reset to its target, else DfaError.  Each suffix found
-    maps all states but one to the target.  Postconditions checked here:
-    there are at most n of them, the astray states are pairwise distinct,
-    and (when any exist) some letter prefixed to one of them already
-    synchronizes; a failed postcondition raises CheckFailure.
+    maps all states but one to the target.  Returns the suffixes and the
+    first failed postcondition, or None: there are at most n of them, the
+    astray states are pairwise distinct, and (when any exist) some letter
+    prefixed to one of them already synchronizes.
     """
     s, cols = _suffix_columns(dfa, best.word, best.target)
     full = dfa.full_set
@@ -350,10 +350,10 @@ def near_sync_suffixes(dfa: Dfa, best: ResetResult) -> list[Word]:
             found.append(s[j:])
             astray.append(odd.bit_length() - 1)
     if len(found) > dfa.n:
-        raise CheckFailure((len(found), dfa.n))
+        return found, str((len(found), dfa.n))
     if len(set(astray)) != len(astray):
-        raise CheckFailure(astray)
+        return found, str(astray)
     if found and not any(image(dfa, full, (c,) + u).bit_count() == 1
                          for c in range(dfa.k) for u in found):
-        raise CheckFailure("no letter completes a near-synchronizing suffix")
-    return found
+        return found, "no letter completes a near-synchronizing suffix"
+    return found, None

@@ -101,6 +101,15 @@ def test_check_lemmas_builds_no_extra_word_matrices(monkeypatch, capsys):
     assert len(calls) - plain <= plain
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_reset_word_computes_profile_and_matrix_once(monkeypatch, capsys, flags):
+    profiles = count_calls(monkeypatch, syncword.series.suffix_profile)
+    matrices = count_calls(monkeypatch, syncword.word_matrix.matrix_of_word)
+    assert run(capsys, "reset-word", "roman", "--profile", "--show-matrix",
+               *flags)[0] == 0
+    assert len(profiles) == len(matrices) == 1
+
+
 def test_reset_word_profile_chain(capsys):
     code, out, _ = run(capsys, "reset-word", "roman", "--profile")
     assert code == 0
@@ -368,6 +377,13 @@ def test_scan_guard_on_a_power_too_large_to_print(capsys):
     assert "capacity error" in err
 
 
+def test_scan_guard_on_one_state_and_a_long_alphabet(capsys):
+    # a single table, but its scan would allocate O(k) before any output
+    code, out, err = run(capsys, "scan", "--n", "1", "--k", "1000000000")
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error: ")
+
+
 # ---------------------------------------------------------------------------
 # examples
 
@@ -436,6 +452,21 @@ def test_scan_capacity_error_writes_no_file(tmp_path, capsys):
     code, _, err = run(capsys, "scan", "--n", "7", "--k", "3", "--out", str(path))
     assert code == 3 and err.startswith("capacity error: ")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("error", [
+    cls for cls in vars(syncword.errors).values()
+    if isinstance(cls, type) and cls.__module__ == syncword.errors.__name__],
+    ids=lambda cls: cls.__name__)
+def test_every_error_type_ends_in_an_exit_code_and_one_line(monkeypatch, capsys,
+                                                             error):
+    def failing(spec):
+        raise error("boom")
+
+    monkeypatch.setattr(syncword.cli, "load_input", failing)
+    code, out, err = run(capsys, "verify", "kari")
+    assert code in (1, 3) and out == ""
+    assert err.endswith("boom\n") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

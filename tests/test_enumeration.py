@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syncword import (CapacityError, Dfa, ResetResult, ScanConfig,
-                      cerny_automaton, cerny_word, enumerate_dfas,
-                      extremal_scan, is_strongly_connected,
+                      cerny_automaton, cerny_word, extremal_scan,
                       shortest_reset_word)
 import syncword
 from syncword import (automaton, cli, enumeration, linspace, series, sync,
                       word_matrix)
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
+                                  _canonical_map_fixers, _counted_tables,
                                   _is_canonical, _letter_multisets,
                                   _relabelings, _word_pool, canonical_flat,
                                   claim_checks, flat_to_dfa,
@@ -24,8 +24,7 @@ from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
                                   suffix_closed_dimension_check,
                                   verify_automaton)
 
-from oracles import (all_pairs_reachable, dfa_to_flat, index_to_flat,
-                     reference_scan, relabel_flat,
+from oracles import (dfa_to_flat, index_to_flat, reference_scan, relabel_flat,
                      strongly_connected_class_count)
 
 
@@ -100,49 +99,29 @@ def test_canonical_flat_is_the_least_relabeling(case):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def test_enumerate_counts_two_states_one_letter():
-    assert sum(1 for _ in enumerate_dfas(ScanConfig(2, 1))) == 4
-    reps = list(enumerate_dfas(ScanConfig(2, 1, canonicalize=True)))
-    assert len(reps) == 3
-    for d in reps:
-        flat = dfa_to_flat(d)
-        assert flat == canonical_flat(flat, 2, 1)
-
-
 @pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in (1, 2, 3)]
                          + [(4, 2)])
 def test_canonical_enumeration_matches_canonical_flat(n, k):
+    # the tables a canonical scan counts, over every multiset of letter maps
     tables = (tuple(index_to_flat(i, n, k)) for i in range(n ** (n * k)))
     expected = [t for t in tables if t == canonical_flat(t, n, k)]
-    got = [dfa_to_flat(d)
-           for d in enumerate_dfas(ScanConfig(n, k, canonicalize=True))]
+    fixers = _canonical_map_fixers(n, k)
+    got = sorted(tuple(t) for values, flat in _letter_multisets(n, k)
+                 for t in _counted_tables(values, flat, n, fixers))
     assert got == expected
-
-
-def test_enumerate_count_three_states_two_letters():
-    assert sum(1 for _ in enumerate_dfas(ScanConfig(3, 2))) == 729
-
-
-def test_enumerate_strongly_connected_filter():
-    kept = list(enumerate_dfas(ScanConfig(2, 2, require_strongly_connected=True)))
-    assert all(is_strongly_connected(d) for d in kept)
-    # a table where no letter leaves state 0 must be excluded
-    stuck = Dfa(2, 2, ((0, 0), (0, 1)))
-    assert stuck not in kept
-    total = sum(1 for _ in enumerate_dfas(ScanConfig(2, 2)))
-    assert len(kept) < total == 16
 
 
 def test_enumerate_strongly_connected_canonical_matches_oracle():
     cfg = ScanConfig(3, 2, require_strongly_connected=True, canonicalize=True)
-    kept = list(enumerate_dfas(cfg))
-    assert len(kept) == strongly_connected_class_count(3, 2)
-    assert all(all_pairs_reachable(d) for d in kept)
+    assert extremal_scan(cfg).total == strongly_connected_class_count(3, 2)
 
 
 def test_guard_rejects_oversized_spaces():
-    with pytest.raises(CapacityError):
-        list(enumerate_dfas(ScanConfig(7, 3)))
+    # n = 1 has one table, but scanning it still costs O(k)
+    ScanConfig(1, 29).check_guard()
+    for cfg in (ScanConfig(7, 3), ScanConfig(1, 30), ScanConfig(1, 10 ** 9)):
+        with pytest.raises(CapacityError):
+            cfg.check_guard()
     with pytest.raises(CapacityError):
         extremal_scan(ScanConfig(6, 2, canonicalize=True))
 
@@ -506,7 +485,11 @@ NEAR_SYNC_FAILURES = [
 def test_claims_over_every_canonical_four_state_two_letter_class():
     synchronizing = 0
     failures = []
-    for dfa in enumerate_dfas(ScanConfig(4, 2, canonicalize=True)):
+    for i in range(4 ** 8):
+        flat = tuple(index_to_flat(i, 4, 2))
+        if flat != canonical_flat(flat, 4, 2):
+            continue
+        dfa = flat_to_dfa(flat, 4, 2)
         best = shortest_reset_word(dfa)
         if best is None:
             continue
@@ -516,7 +499,7 @@ def test_claims_over_every_canonical_four_state_two_letter_class():
             assert [(r.name, r.detail) for r in failed] == [
                 ("near-sync-suffixes",
                  "no letter completes a near-synchronizing suffix")]
-            failures.append(dfa_to_flat(dfa))
+            failures.append(flat)
     assert synchronizing == 2185
     assert failures == NEAR_SYNC_FAILURES
 

@@ -7,6 +7,7 @@ from syncword import (DfaError, KARI_WORD, ROMAN_WORD, SeriesContext,
                       cerny_automaton, cerny_word, kari_automaton,
                       matrix_of_word, roman_automaton, suffix_profile,
                       suffix_space_dimensions, threshold_count)
+from syncword import series
 from syncword.series import series_value
 from syncword.sync import q_column
 
@@ -105,6 +106,19 @@ def test_suffix_space_dimensions_frozen():
     assert suffix_space_dimensions(roman_ctx(), ROMAN_WORD) == [1, 4, 8, 12]
     c4 = SeriesContext.for_state(cerny_automaton(4), 1)
     assert suffix_space_dimensions(c4, cerny_word(4)) == [1, 5, 9]
+
+
+def test_suffix_space_dimensions_builds_the_suffix_maps_once(monkeypatch):
+    calls = []
+    real = series.suffix_maps
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "suffix_maps", counting)
+    assert suffix_space_dimensions(kari_ctx(), KARI_WORD) == [1, 6, 9, 13, 19]
+    assert len(calls) == 1
 
 
 def test_suffix_space_dimension_bounds():

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from syncword import (CapacityError, CheckFailure, Dfa, DfaError, KARI_WORD,
+from syncword import (CapacityError, Dfa, DfaError, KARI_WORD,
                       ROMAN_WORD, ResetResult,
                       WordMatrix, cerny_automaton, cerny_word, identity, image,
                       is_irreducible, kari_automaton, matrix_of_word, multiply,
@@ -394,21 +394,21 @@ def test_suffix_distinctness_fails_with_repeat():
 
 def test_near_sync_suffixes_cerny4():
     d = cerny_automaton(4)
-    out = near_sync_suffixes(d, shortest_reset_word(d))
+    out, failure = near_sync_suffixes(d, shortest_reset_word(d))
     assert [len(u) for u in out] == [5, 6, 7, 8]
-    assert len(out) <= 4
+    assert failure is None
 
 
 def test_near_sync_suffixes_kari_roman():
     out = near_sync_suffixes(kari_automaton(), ResetResult(KARI_WORD, 25, 1, 0))
-    assert [len(u) for u in out] == [18, 19, 22, 23, 24]
+    assert [len(u) for u in out[0]] == [18, 19, 22, 23, 24] and out[1] is None
     out = near_sync_suffixes(roman_automaton(), ResetResult(ROMAN_WORD, 16, 4, 0))
-    assert [len(u) for u in out] == [13, 14, 15]
+    assert [len(u) for u in out[0]] == [13, 14, 15] and out[1] is None
 
 
 def test_near_sync_letter_completion():
     d = cerny_automaton(4)
-    out = near_sync_suffixes(d, shortest_reset_word(d))
+    out, _ = near_sync_suffixes(d, shortest_reset_word(d))
     completions = [(c,) + u for c in range(d.k) for u in out]
     assert any(image(d, d.full_set, w).bit_count() == 1 for w in completions)
 
@@ -423,17 +423,17 @@ def test_near_sync_rejects_a_result_that_does_not_reset_to_its_target():
             near_sync_suffixes(d, wrong)
 
 
-def test_near_sync_completion_failure_is_raised():
+def test_near_sync_completion_failure_is_returned():
     # a 4-state counterexample to the completion postcondition (minimal word aba)
     d = Dfa(4, 2, ((0, 0, 0, 3), (0, 3, 3, 1)))
     r = shortest_reset_word(d)
     assert r.word == word_from_str("aba")
-    with pytest.raises(CheckFailure, match="no letter completes"):
-        near_sync_suffixes(d, r)
+    assert near_sync_suffixes(d, r) == (
+        [word_from_str("a")], "no letter completes a near-synchronizing suffix")
 
 
 def test_two_state_degenerate_case():
     d = cerny_automaton(2)
     r = shortest_reset_word(d)
     assert r.word == word_from_str("b") and r.target == 1
-    assert near_sync_suffixes(d, r) == [()]
+    assert near_sync_suffixes(d, r) == ([()], None)
