@@ -3,10 +3,10 @@
 Run with:  python demos/series_profiles.py
 """
 
-from syncword import (KARI_WORD, ROMAN_WORD, SeriesContext, cerny_automaton,
-                      cerny_word, kari_automaton, roman_automaton,
-                      shortest_reset_word, suffix_profile,
-                      suffix_space_dimensions, threshold_count, word_to_str)
+from syncword import (KARI_WORD, ROMAN_WORD, cerny_automaton, cerny_word,
+                      kari_automaton, roman_automaton, shortest_reset_word,
+                      suffix_profile, suffix_space_dimensions,
+                      threshold_count, word_to_str)
 
 # For a target state q, the value of a word w counts the states pulled
 # into q beyond the one already there: preimage size minus 1.  Suffixes of
@@ -15,15 +15,14 @@ for dfa, word in [(kari_automaton(), KARI_WORD),
                   (roman_automaton(), ROMAN_WORD),
                   (cerny_automaton(5), cerny_word(5))]:
     target = shortest_reset_word(dfa).target
-    ctx = SeriesContext.for_state(dfa, target)
-    profile = suffix_profile(ctx, word)
+    profile = suffix_profile(dfa, word, target)
     print(f"--- n={dfa.n}, word {word_to_str(word, group=5)} -> {target}")
     print("suffix values:", " ".join(str(v) for _, v in profile))
     for bound in range(1, dfa.n):
         print(f"  suffixes with value >= {bound}: "
               f"{threshold_count(profile, bound)}")
     # the matrices of high-value suffixes live in small subspaces
-    dims = suffix_space_dimensions(ctx, word)
+    dims = suffix_space_dimensions(dfa, word, target)
     print("  suffix-space dimensions by allowed image size:", dims)
     print("  bounds (i-1)n+1:", [(i - 1) * dfa.n + 1 for i in range(1, dfa.n)])
     print()
@@ -32,8 +31,7 @@ for dfa, word in [(kari_automaton(), KARI_WORD),
 # exactly n consecutive suffix lengths.
 n = 6
 dfa = cerny_automaton(n)
-ctx = SeriesContext.for_state(dfa, 1)
-profile = suffix_profile(ctx, cerny_word(n))
+profile = suffix_profile(dfa, cerny_word(n), 1)
 values = {length: value for length, value in profile}
 for level in range(1, n - 1):
     lengths = [L for L in range(1, len(cerny_word(n)) + 1)

@@ -19,8 +19,7 @@ from .word_matrix import (WordMatrix, identity, matrix_of_word, multiply,
 from .linspace import (Decomposition, RowEchelon, coefficient_sum, decompose,
                        flatten, letter_closure_check, span_dimension,
                        standard_basis, word_matrix_span)
-from .series import (SeriesContext, suffix_profile, suffix_space_dimensions,
-                     threshold_count)
+from .series import suffix_profile, suffix_space_dimensions, threshold_count
 from .sync import ResetResult, is_irreducible, shortest_reset_word
 from .enumeration import ScanConfig, ScanReport, extremal_scan
 

@@ -33,10 +33,11 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DfaError(f"state count must be positive, got {self.n}")
-        if self.k < 1:
-            raise DfaError(f"alphabet size must be positive, got {self.k}")
+        # bool is an int subclass, and a float would pass the range checks
+        if type(self.n) is not int or self.n < 1:
+            raise DfaError(f"state count must be a positive integer, got {self.n!r}")
+        if type(self.k) is not int or self.k < 1:
+            raise DfaError(f"alphabet size must be a positive integer, got {self.k!r}")
         if len(self.delta) != self.k:
             raise DfaError(f"expected {self.k} transition rows, got {len(self.delta)}")
         rows = []
@@ -45,8 +46,9 @@ class Dfa:
             if len(row) != self.n:
                 raise DfaError(f"letter {c}: expected {self.n} targets, got {len(row)}")
             for p, t in enumerate(row):
-                if not 0 <= t < self.n:
-                    raise DfaError(f"delta({p}, {c}) = {t} out of range [0, {self.n})")
+                if type(t) is not int or not 0 <= t < self.n:
+                    raise DfaError(f"delta({p}, {c}) = {t!r} is not a state in "
+                                   f"[0, {self.n})")
             rows.append(row)
         object.__setattr__(self, "delta", tuple(rows))
 
@@ -62,6 +64,12 @@ class Dfa:
             if not 0 <= c < self.k:
                 raise DfaError(f"letter {c} out of range [0, {self.k})")
         return w
+
+    def check_state(self, q: int) -> int:
+        """Validate a state index against this automaton."""
+        if not 0 <= q < self.n:
+            raise DfaError(f"state {q} out of range [0, {self.n})")
+        return q
 
 
 def word_map(dfa: Dfa, w: Sequence[int]) -> list[int]:

@@ -109,8 +109,7 @@ def cmd_reset_word(args) -> int:
         "states_expanded": result.states_expanded,
     }
     if args.profile:
-        profile = series.suffix_profile(
-            series.SeriesContext.for_state(dfa, result.target), result.word)
+        profile = series.suffix_profile(dfa, result.word, result.target)
         payload["profile"] = [[length, value] for length, value in profile]
     if args.show_matrix:
         matrix = matrix_of_word(dfa, result.word)
@@ -163,8 +162,7 @@ def cmd_profile(args) -> int:
         if img & (img - 1):
             raise UsageError("word is not synchronizing; give --q explicitly")
         q = img.bit_length() - 1
-    ctx = series.SeriesContext.for_state(dfa, q)
-    profile = series.suffix_profile(ctx, word)
+    profile = series.suffix_profile(dfa, word, q)
     if args.json:
         payload = {"input": args.input, "word": word_to_str(word), "q": q,
                    "profile": [[length, value] for length, value in profile],

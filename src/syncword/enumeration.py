@@ -531,7 +531,7 @@ def claim_checks(dfa: Dfa, best: sync.ResetResult) -> list[CheckResult]:
     `verify` and `reset-word --check-lemmas`.
     """
     s, q, n = best.word, best.target, dfa.n
-    dims = series.suffix_space_dimensions(series.SeriesContext.for_state(dfa, q), s)
+    dims = series.suffix_space_dimensions(dfa, s, q)
     # level i has dimension at most (i-1)n+1; the first level above it fails
     over = next((i for i, dim in enumerate(dims, 1) if dim > (i - 1) * n + 1), None)
     found, failure = sync.near_sync_suffixes(dfa, best)
@@ -582,7 +582,6 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     if best is None:
         return results
     s_min, q = best.word, best.target
-    ctx = series.SeriesContext.for_state(dfa, q)
     check("reset-word-valid", image(dfa, dfa.full_set, s_min) == 1 << q,
           word_to_str(s_min))
     if "reset_length" in expect:
@@ -597,7 +596,7 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     # is computed once per distinct input, and the loops over the pool still
     # report the first counterexample in pool order
     mat = {w: matrix_of_word(dfa, w) for w in dict.fromkeys(pool)}
-    val = {w: series.series_value(ctx, w) for w in mat}
+    val = {w: series.series_value(dfa, w, q) for w in mat}
     distinct = {M.rows: M for M in mat.values()}
     vec = {rows: linspace.flatten(M) for rows, M in distinct.items()}
 
@@ -644,7 +643,7 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     flats = [linspace.flatten(g) for _, g in witnesses]
     span = linspace.RowEchelon(n * n, tail=2)
     for (w, _), f in zip(witnesses, flats):
-        span.add(f + (1, series.series_value(ctx, w)))
+        span.add(f + (1, series.series_value(dfa, w, q)))
     tails = {}
     bad_sum = bad_lin = None
     for w in pool:
@@ -662,7 +661,7 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
           f"counterexample {word_to_str(bad_lin)}" if bad_lin else "")
 
     # constant-level spans: a word matrix inside a level's span has that value
-    profile = series.suffix_profile(ctx, s_min)
+    profile = series.suffix_profile(dfa, s_min, q)
     suffixes = list(zip(profile, reversed(suffix_maps(dfa, s_min))))
     ok, detail = True, ""
     for level in range(0, n - 1):
@@ -688,10 +687,12 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     ok = True
     for _ in range(10):
         coeffs = [rng.randint(-2, 2) for _ in flats]
-        combo = [sum(c * f[i] for c, f in zip(coeffs, flats))
-                 for i in range(n * n)]
         t = pool[rng.randrange(len(pool))]
-        if not ech.contains(linspace.left_multiply_flat(mat[t], combo)):
+        # left multiplication is linear: M_t . sum(c_i G_i) = sum(c_i M_t G_i)
+        prods = [linspace.flatten(multiply(mat[t], g)) for _, g in witnesses]
+        combo = [sum(c * f[i] for c, f in zip(coeffs, prods))
+                 for i in range(n * n)]
+        if not ech.contains(combo):
             ok = False
             break
     check("span-word-stability", ok)

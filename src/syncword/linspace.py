@@ -152,19 +152,6 @@ def coefficient_sum(d: Decomposition) -> Fraction:
     return sum((lam for _, lam in d.coefficients), Fraction(0))
 
 
-def left_multiply_flat(wm: WordMatrix, flat: Sequence) -> tuple:
-    """Product wm . F for an arbitrary flat matrix F: row i of the result is
-    row wm.rows[i] of F."""
-    n = wm.n
-    if len(flat) != n * n:
-        raise DfaError(f"flat width {len(flat)} != {n * n}")
-    out = []
-    for i in range(n):
-        src = wm.rows[i] * n
-        out.extend(flat[src:src + n])
-    return tuple(out)
-
-
 def letter_closure_check(
     dfa: Dfa, ech: RowEchelon, generators: Sequence[WordMatrix]
 ) -> tuple[bool, tuple[int, int] | None]:

@@ -291,9 +291,7 @@ def _suffix_columns(dfa: Dfa, s: Sequence[int], q: int) -> tuple[Word, list[int]
     Raises DfaError unless s resets every state to q, that is unless the
     q-column of the whole word is full.
     """
-    s = dfa.check_word(s)
-    if not 0 <= q < dfa.n:
-        raise DfaError(f"state {q} out of range [0, {dfa.n})")
+    s, q = dfa.check_word(s), dfa.check_state(q)
     cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
     if cols[0] != dfa.full_set:
         raise DfaError("word does not reset the automaton to the given state")

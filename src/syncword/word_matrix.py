@@ -29,8 +29,8 @@ class WordMatrix:
         if n == 0:
             raise DfaError("matrix must have at least one row")
         for i, j in enumerate(self.rows):
-            if not 0 <= j < n:
-                raise DfaError(f"row {i}: column {j} out of range [0, {n})")
+            if type(j) is not int or not 0 <= j < n:
+                raise DfaError(f"row {i}: column {j!r} is not in [0, {n})")
         object.__setattr__(self, "rows", tuple(self.rows))
 
     @property

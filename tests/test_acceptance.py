@@ -10,11 +10,11 @@ import random
 import time
 from itertools import product
 
-from syncword import (Dfa, KARI_WORD, ROMAN_WORD, ScanConfig, SeriesContext,
-                      cerny_automaton, cerny_word, extremal_scan, image,
-                      is_irreducible, kari_automaton, roman_automaton,
-                      shortest_reset_word, span_dimension, standard_basis,
-                      suffix_profile, suffix_space_dimensions, threshold_count,
+from syncword import (Dfa, KARI_WORD, ROMAN_WORD, ScanConfig, cerny_automaton,
+                      cerny_word, extremal_scan, image, is_irreducible,
+                      kari_automaton, roman_automaton, shortest_reset_word,
+                      span_dimension, standard_basis, suffix_profile,
+                      suffix_space_dimensions, threshold_count,
                       word_matrix_span)
 from syncword.enumeration import canonical_flat
 from syncword.linspace import coefficient_sum, decompose, flatten
@@ -59,8 +59,7 @@ def test_criterion_2_kari():
     d = kari_automaton()
     t0 = time.perf_counter()
     result = shortest_reset_word(d)
-    ctx = SeriesContext.for_state(d, result.target)
-    profile = suffix_profile(ctx, KARI_WORD)
+    profile = suffix_profile(d, KARI_WORD, result.target)
     counts = {b: threshold_count(profile, b) for b in (1, 2, 3, 4)}
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -74,8 +73,7 @@ def test_criterion_3_roman():
     d = roman_automaton()
     t0 = time.perf_counter()
     result = shortest_reset_word(d)
-    ctx = SeriesContext.for_state(d, result.target)
-    profile = suffix_profile(ctx, ROMAN_WORD)
+    profile = suffix_profile(d, ROMAN_WORD, result.target)
     counts = {b: threshold_count(profile, b) for b in (1, 2, 3)}
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -174,8 +172,7 @@ def test_criterion_8_suffix_space_bounds():
              (roman_automaton(), ROMAN_WORD)]
     for d, s in cases:
         result = shortest_reset_word(d)
-        ctx = SeriesContext.for_state(d, result.target)
-        dims = suffix_space_dimensions(ctx, s)
+        dims = suffix_space_dimensions(d, s, result.target)
         assert len(dims) == d.n - 1
         for i, dim in enumerate(dims, start=1):
             assert dim <= (i - 1) * d.n + 1, (d.n, i, dim)

@@ -36,6 +36,12 @@ def test_dfa_validates_shape():
         Dfa(2, 2, ((0, 1),))
     with pytest.raises(DfaError):
         Dfa(0, 1, ())
+    # a float or bool would build, then fail far from the constructor: a
+    # float in the reset search's shifts, a bool in serialize_dfa's output
+    for n, k, delta in [(2, 1, ((1.0, 1),)), (2, 1, ((True, 1),)),
+                        (2.0, 1, ((0, 1),)), (2, True, ((0, 1),))]:
+        with pytest.raises(DfaError):
+            Dfa(n, k, delta)
 
 
 def test_cerny_table():

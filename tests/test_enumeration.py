@@ -414,9 +414,9 @@ def test_verify_reduces_each_distinct_matrix_and_value_once(monkeypatch):
 
     monkeypatch.setattr(linspace.RowEchelon, "residual", counting)
     verify_automaton(dfa)
-    ctx = series.SeriesContext.for_state(dfa, shortest_reset_word(dfa).target)
+    q = shortest_reset_word(dfa).target
     pool = _word_pool(dfa)
-    keys = {(word_matrix.matrix_of_word(dfa, w).rows, series.series_value(ctx, w))
+    keys = {(word_matrix.matrix_of_word(dfa, w).rows, series.series_value(dfa, w, q))
             for w in pool}
     assert len(keys) < len(pool)  # the pool repeats (matrix, value) pairs
     # each witness row is reduced as it is added, then each distinct key once
@@ -426,7 +426,6 @@ def test_verify_reduces_each_distinct_matrix_and_value_once(monkeypatch):
 
 def test_suffix_space_check_adds_each_suffix_once(monkeypatch):
     kari = automaton.kari_automaton()
-    ctx = series.SeriesContext.for_state(kari, 1)
     echelons = []
     real = linspace.RowEchelon.add
 
@@ -438,7 +437,7 @@ def test_suffix_space_check_adds_each_suffix_once(monkeypatch):
     best = ResetResult(automaton.KARI_WORD, 25, 1, 0)
     assert claim_checks(kari, best)[0] == CheckResult(
         "suffix-space-bound", True, "dims [1, 6, 9, 13, 19]")
-    profile = series.suffix_profile(ctx, automaton.KARI_WORD)
+    profile = series.suffix_profile(kari, automaton.KARI_WORD, 1)
     # one echelon grows through every level: one add per suffix of value >= 1
     assert len(echelons) == sum(value >= 1 for _, value in profile) == 25
     assert len({id(e) for e in echelons}) == 1
@@ -541,7 +540,7 @@ def test_verify_flags_a_word_outside_a_short_witness_list(monkeypatch):
 def test_verify_flags_a_series_that_is_not_linear(monkeypatch):
     real = series.series_value
     monkeypatch.setattr(series, "series_value",
-                        lambda ctx, w: real(ctx, w) + (len(w) == 3))
+                        lambda dfa, w, q: real(dfa, w, q) + (len(w) == 3))
     results = {r.name: r for r in verify_automaton(cerny_automaton(4))}
     assert results["series-linearity"] == CheckResult(
         "series-linearity", False, "counterexample abb")

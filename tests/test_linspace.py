@@ -9,7 +9,6 @@ from syncword import (DfaError, Decomposition, RowEchelon, WordMatrix,
                       identity, kari_automaton, letter_closure_check,
                       matrix_of_word, span_dimension, standard_basis,
                       word_matrix_span)
-from syncword.linspace import left_multiply_flat
 
 from oracles import combine, int_flat, int_rank
 
@@ -231,14 +230,6 @@ def test_residual_is_zero_at_every_pivot(vecs, probe):
     assert all(res[col] == 0 for col, _ in ech.pivot_rows)
     # and it differs from the probe by a member of the span
     assert ech.contains([p - r for p, r in zip(probe, res)])
-
-
-def test_left_multiply_flat():
-    M = WordMatrix((1, 0))
-    flat = [Fraction(x) for x in (1, 2, 3, 4)]
-    assert left_multiply_flat(M, flat) == (3, 4, 1, 2)
-    with pytest.raises(DfaError):
-        left_multiply_flat(M, flat[:3])
 
 
 def test_letter_closure_on_saturated_span():

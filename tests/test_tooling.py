@@ -50,6 +50,18 @@ def _tour() -> str:
     return re.search(r"## Library tour\n+```python\n(.*?)```", readme, re.S)[1]
 
 
+def test_the_library_tour_runs():
+    exec(compile(_tour(), "README.md: library tour", "exec"), {})
+
+
+def test_no_verdict_rests_on_an_assert():
+    # python -O strips assert statements; a check must raise or return instead
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"
+
+
 def _defined(stmt: ast.stmt) -> set[str]:
     """The names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):

@@ -40,6 +40,9 @@ def test_row_validation():
         WordMatrix((0, 3))
     with pytest.raises(DfaError):
         WordMatrix(())
+    for rows in [(0.0, 1), (False, 1)]:
+        with pytest.raises(DfaError):
+            WordMatrix(rows)
 
 
 def test_multiply_identity_and_involution():
