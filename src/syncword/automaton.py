@@ -9,48 +9,56 @@ the empty word is allowed everywhere and acts as the identity.
 from __future__ import annotations
 
 import json
-import string
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DfaError, DfaParseError
 
 Word = tuple[int, ...]
 
-LETTER_NAMES = string.ascii_lowercase
+LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
 class Dfa:
     """Complete DFA: ``delta[letter][state]`` is the successor state.
 
     ``delta`` is letter-major to match the text format (one row per letter).
-    Immutable and safe to share between workers.
+    Equal and hashed by value, and never changed after construction, so it
+    is safe to share between workers.
     """
 
-    n: int
-    k: int
-    delta: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "k", "delta")
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, delta: Sequence[Sequence[int]]):
         # bool is an int subclass, and a float would pass the range checks
-        if type(self.n) is not int or self.n < 1:
-            raise DfaError(f"state count must be a positive integer, got {self.n!r}")
-        if type(self.k) is not int or self.k < 1:
-            raise DfaError(f"alphabet size must be a positive integer, got {self.k!r}")
-        if len(self.delta) != self.k:
-            raise DfaError(f"expected {self.k} transition rows, got {len(self.delta)}")
+        if type(n) is not int or n < 1:
+            raise DfaError(f"state count must be a positive integer, got {n!r}")
+        if type(k) is not int or k < 1:
+            raise DfaError(f"alphabet size must be a positive integer, got {k!r}")
+        if len(delta) != k:
+            raise DfaError(f"expected {k} transition rows, got {len(delta)}")
         rows = []
-        for c, row in enumerate(self.delta):
+        for c, row in enumerate(delta):
             row = tuple(row)
-            if len(row) != self.n:
-                raise DfaError(f"letter {c}: expected {self.n} targets, got {len(row)}")
+            if len(row) != n:
+                raise DfaError(f"letter {c}: expected {n} targets, got {len(row)}")
             for p, t in enumerate(row):
-                if type(t) is not int or not 0 <= t < self.n:
+                if type(t) is not int or not 0 <= t < n:
                     raise DfaError(f"delta({p}, {c}) = {t!r} is not a state in "
-                                   f"[0, {self.n})")
+                                   f"[0, {n})")
             rows.append(row)
-        object.__setattr__(self, "delta", tuple(rows))
+        self.n = n
+        self.k = k
+        self.delta = tuple(rows)
+
+    def __eq__(self, other):
+        # the rows fix n and k
+        return self.delta == other.delta if type(other) is Dfa else NotImplemented
+
+    def __hash__(self):
+        return hash(self.delta)
+
+    def __repr__(self):
+        return f"Dfa(n={self.n!r}, k={self.k!r}, delta={self.delta!r})"
 
     @property
     def full_set(self) -> int:
@@ -58,17 +66,17 @@ class Dfa:
         return (1 << self.n) - 1
 
     def check_word(self, w: Sequence[int]) -> Word:
-        """Validate letter indices against this alphabet."""
+        """Validate letter indices (ints, not bools) against this alphabet."""
         w = tuple(w)
         for c in w:
-            if not 0 <= c < self.k:
-                raise DfaError(f"letter {c} out of range [0, {self.k})")
+            if type(c) is not int or not 0 <= c < self.k:
+                raise DfaError(f"letter {c!r} out of range [0, {self.k})")
         return w
 
     def check_state(self, q: int) -> int:
-        """Validate a state index against this automaton."""
-        if not 0 <= q < self.n:
-            raise DfaError(f"state {q} out of range [0, {self.n})")
+        """Validate a state index (an int, not a bool) against this automaton."""
+        if type(q) is not int or not 0 <= q < self.n:
+            raise DfaError(f"state {q!r} out of range [0, {self.n})")
         return q
 
 

@@ -16,7 +16,6 @@ import marshal
 import os
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice, permutations, product
 from math import comb
@@ -36,21 +35,23 @@ CANONICAL_MAX_N = 5
 VERIFY_MAX_K = 8
 
 
-@dataclass(frozen=True)
 class ScanConfig:
     """Parameters of an exhaustive scan over all n-state, k-letter tables."""
 
-    n: int
-    k: int
-    require_strongly_connected: bool = False
-    worker_count: int = 1
-    canonicalize: bool = False
+    __slots__ = ("n", "k", "require_strongly_connected", "worker_count",
+                 "canonicalize")
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
+    def __init__(self, n: int, k: int, require_strongly_connected: bool = False,
+                 worker_count: int = 1, canonicalize: bool = False):
+        if n < 1 or k < 1:
             raise DfaError("n and k must be positive")
-        if self.worker_count < 1:
+        if worker_count < 1:
             raise DfaError("worker_count must be positive")
+        self.n = n
+        self.k = k
+        self.require_strongly_connected = require_strongly_connected
+        self.worker_count = worker_count
+        self.canonicalize = canonicalize
 
     @property
     def table_count(self) -> int:
@@ -276,22 +277,27 @@ def _reset_length(images: list[list[int]], n: int) -> int | None:
     return None
 
 
-@dataclass
 class ScanReport:
     """Aggregate of one enumeration run; serializes to stable JSON."""
 
-    n: int
-    k: int
-    require_strongly_connected: bool
-    canonicalize: bool
-    total: int = 0
-    synchronizing: int = 0
-    histogram: dict[int, int] = field(default_factory=dict)
-    max_length: int = 0
-    max_length_count: int = 0
-    witnesses: list[tuple[int, ...]] = field(default_factory=list)
-    upper_bound_violations: list[tuple[int, ...]] = field(default_factory=list)
-    conjecture_counterexamples: list[tuple[int, ...]] = field(default_factory=list)
+    __slots__ = ("n", "k", "require_strongly_connected", "canonicalize", "total",
+                 "synchronizing", "histogram", "max_length", "max_length_count",
+                 "witnesses", "upper_bound_violations", "conjecture_counterexamples")
+
+    def __init__(self, n: int, k: int, require_strongly_connected: bool,
+                 canonicalize: bool):
+        self.n = n
+        self.k = k
+        self.require_strongly_connected = require_strongly_connected
+        self.canonicalize = canonicalize
+        self.total = 0
+        self.synchronizing = 0
+        self.histogram: dict[int, int] = {}
+        self.max_length = 0
+        self.max_length_count = 0
+        self.witnesses: list[tuple[int, ...]] = []
+        self.upper_bound_violations: list[tuple[int, ...]] = []
+        self.conjecture_counterexamples: list[tuple[int, ...]] = []
 
     def to_dict(self) -> dict:
         return {
@@ -513,11 +519,25 @@ def suffix_closed_dimension_check(dfa: Dfa, s: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # the assertion battery
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    """One check's verdict, with a counterexample or diagnostic as detail."""
+
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+
+    def __eq__(self, other):
+        if type(other) is not CheckResult:
+            return NotImplemented
+        return (self.name, self.passed, self.detail) == (other.name, other.passed,
+                                                         other.detail)
+
+    def __repr__(self):
+        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
+                f"detail={self.detail!r})")
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -573,7 +593,7 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     n = dfa.n
 
     def check(check_name: str, passed: bool, detail: str = ""):
-        results.append(CheckResult(f"{check_name}", bool(passed), detail))
+        results.append(CheckResult(check_name, bool(passed), detail))
 
     # reset word and basic facts
     best = sync.shortest_reset_word(dfa)
@@ -714,8 +734,8 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
 
     # diagnostic only, never failed: composition of the value-0 q-class of
     # the identity (invertible members vs. singular members of rank > 1)
-    zero_class = [w for w in pool
-                  if val[w] == 0 and sync.q_equivalent(mat[w], identity(n), q)]
+    E = identity(n)
+    zero_class = [w for w in pool if val[w] == 0 and sync.q_equivalent(mat[w], E, q)]
     invertible = sum(1 for w in zero_class if nonzero_columns(mat[w]) == dfa.full_set)
     singular_big = sum(1 for w in zero_class if 1 < rank(mat[w]) < n)
     check("zero-class-composition", True,

@@ -9,13 +9,14 @@ tests and decompositions in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .automaton import Dfa
 from .errors import DfaError
 from .word_matrix import WordMatrix, identity, matrices_of_letters, multiply
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FlatMatrix = tuple[int, ...]
 
@@ -29,9 +30,19 @@ def flatten(M: WordMatrix) -> FlatMatrix:
     return tuple(out)
 
 
+def _fraction(*args) -> Fraction:
+    """Fraction(*args).  The first call imports fractions, which imports
+    decimal, and rebinds this name to Fraction itself: a command that never
+    eliminates never loads them."""
+    global _fraction
+    import fractions
+    _fraction = fractions.Fraction
+    return _fraction(*args)
+
+
 def _exact(x):
     """An int as is, any other number (float, Fraction) as its exact Fraction."""
-    return x if isinstance(x, int) else Fraction(x)
+    return x if isinstance(x, int) else _fraction(x)
 
 
 class RowEchelon:
@@ -77,7 +88,7 @@ class RowEchelon:
         res = self.residual(vec)
         for col in range(self.width):
             if res[col]:
-                inv = 1 / Fraction(res[col])
+                inv = 1 / _fraction(res[col])
                 self.pivot_rows.append(
                     (col, tuple((j, x * inv) for j, x in enumerate(res) if x)))
                 return True
@@ -116,11 +127,20 @@ def standard_basis(n: int, k: int) -> list[FlatMatrix]:
     return basis
 
 
-@dataclass(frozen=True)
 class Decomposition:
     """Exact coefficients over a basis list; omitted indices mean zero."""
 
-    coefficients: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[tuple[int, Fraction], ...]):
+        self.coefficients = coefficients
+
+    def __eq__(self, other):
+        return (self.coefficients == other.coefficients
+                if type(other) is Decomposition else NotImplemented)
+
+    def __repr__(self):
+        return f"Decomposition(coefficients={self.coefficients!r})"
 
 
 def decompose(target: Sequence, basis: Sequence[Sequence]) -> Decomposition | None:
@@ -149,7 +169,7 @@ def decompose(target: Sequence, basis: Sequence[Sequence]) -> Decomposition | No
 def coefficient_sum(d: Decomposition) -> Fraction:
     """Sum of the coefficients; equals 1 for any representation of a word matrix
     over word matrices (every such matrix has total cell sum n)."""
-    return sum((lam for _, lam in d.coefficients), Fraction(0))
+    return sum((lam for _, lam in d.coefficients), _fraction(0))
 
 
 def letter_closure_check(

@@ -11,27 +11,38 @@ maps of one size and the map of a validated word are valid by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .automaton import Dfa, word_map
 from .errors import DfaError
 
 
-@dataclass(frozen=True)
 class WordMatrix:
-    """Row-functional 0/1 matrix: ``rows[i]`` is the column of the unit in row i."""
+    """Row-functional 0/1 matrix: ``rows[i]`` is the column of the unit in row i.
 
-    rows: tuple[int, ...]
+    Equal and hashed by its rows, which never change after construction.
+    """
 
-    def __post_init__(self):
-        n = len(self.rows)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[int]):
+        rows = tuple(rows)
+        n = len(rows)
         if n == 0:
             raise DfaError("matrix must have at least one row")
-        for i, j in enumerate(self.rows):
+        for i, j in enumerate(rows):
             if type(j) is not int or not 0 <= j < n:
                 raise DfaError(f"row {i}: column {j!r} is not in [0, {n})")
-        object.__setattr__(self, "rows", tuple(self.rows))
+        self.rows = rows
+
+    def __eq__(self, other):
+        return self.rows == other.rows if type(other) is WordMatrix else NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"WordMatrix(rows={self.rows!r})"
 
     @property
     def n(self) -> int:
@@ -39,9 +50,9 @@ class WordMatrix:
 
 
 def _trusted(rows: tuple[int, ...]) -> WordMatrix:
-    """A WordMatrix over rows known to be valid, without __post_init__."""
+    """A WordMatrix over rows known to be valid, without validating them."""
     M = object.__new__(WordMatrix)
-    object.__setattr__(M, "rows", rows)
+    M.rows = rows
     return M
 
 

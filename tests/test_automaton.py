@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 from syncword import (Dfa, DfaError, KARI_WORD, ROMAN_WORD, builtin_automaton,
                       cerny_automaton, cerny_word, image, is_strongly_connected,
                       kari_automaton, roman_automaton, serialize_dfa,
-                      word_to_str)
+                      matrix_of_word, word_to_str)
 from syncword.automaton import dfa_from_json, parse_dfa, word_from_str
 from syncword.errors import DfaParseError
+from syncword.series import series_value
 
 from oracles import all_pairs_reachable, apply
 
@@ -42,6 +43,18 @@ def test_dfa_validates_shape():
                         (2.0, 1, ((0, 1),)), (2, True, ((0, 1),))]:
         with pytest.raises(DfaError):
             Dfa(n, k, delta)
+
+
+def test_letters_and_states_are_checked_as_ints():
+    # the range test alone lets 1.0 through to index a row, reads True as
+    # the letter b, and gives the state 1.0 a preimage count of 0
+    kari = kari_automaton()
+    for w in [(1.0, 0), (True, 0)]:
+        with pytest.raises(DfaError, match="letter"):
+            matrix_of_word(kari, w)
+    for q in (1.0, True):
+        with pytest.raises(DfaError, match="state"):
+            series_value(kari, (0,), q)
 
 
 def test_cerny_table():

@@ -2,7 +2,6 @@ import os
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations
 from math import comb
 
@@ -152,11 +151,13 @@ def test_scan_three_states_histogram_and_witnesses():
 def test_scan_deterministic_across_workers_and_runs(monkeypatch):
     # eight CPUs, so that eight children really run
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    for cfg in (ScanConfig(3, 2), ScanConfig(3, 3, canonicalize=True)):
+    for n, k, canon in ((3, 2, False), (3, 3, True)):
+        cfg = ScanConfig(n, k, canonicalize=canon)
         base = extremal_scan(cfg).to_json()
         assert extremal_scan(cfg).to_json() == base
         for workers in (2, 5, 8):
-            assert extremal_scan(replace(cfg, worker_count=workers)).to_json() == base
+            cfg = ScanConfig(n, k, worker_count=workers, canonicalize=canon)
+            assert extremal_scan(cfg).to_json() == base
 
 
 def no_fork():
@@ -243,10 +244,10 @@ FILTERS = [(sc, canon) for sc in (False, True) for canon in (False, True)]
 def test_scan_matches_the_reference_walk(monkeypatch, n, k):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for sc, canon in FILTERS:
-        cfg = ScanConfig(n, k, sc, 1, canon)
-        expected = reference_scan(cfg).to_json()
+        expected = reference_scan(ScanConfig(n, k, sc, 1, canon)).to_json()
         for workers in (1, 2):
-            assert extremal_scan(replace(cfg, worker_count=workers)).to_json() == expected
+            cfg = ScanConfig(n, k, sc, workers, canon)
+            assert extremal_scan(cfg).to_json() == expected
 
 
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (3, 3), (2, 5)])
@@ -265,12 +266,11 @@ def test_scan_lists_violations_in_table_order(monkeypatch, n, k):
     monkeypatch.setattr(enumeration, "_reset_length", lengthened)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for sc, canon in FILTERS:
-        cfg = ScanConfig(n, k, sc, 1, canon)
-        expected = reference_scan(cfg)
+        expected = reference_scan(ScanConfig(n, k, sc, 1, canon))
         assert expected.upper_bound_violations
         assert expected.conjecture_counterexamples
         for workers in (1, 2):
-            got = extremal_scan(replace(cfg, worker_count=workers))
+            got = extremal_scan(ScanConfig(n, k, sc, workers, canon))
             assert got.to_json() == expected.to_json()
 
 

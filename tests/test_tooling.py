@@ -1,6 +1,7 @@
 """The test configuration itself, and the fence around the library surface."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -140,3 +141,33 @@ def test_no_module_imports_a_name_it_never_uses():
                            for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in loaded]
     assert not unused, f"imported but never used: {unused}"
+
+
+# ---------------------------------------------------------------------------
+# cold start: what `import syncword.cli` loads
+
+IMPORT_FENCE = """\
+import contextlib, io, json, sys
+before = set(sys.modules)
+import syncword.cli
+imported = sorted(set(sys.modules) - before)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [syncword.cli.main(["reset-word", "kari", "--json"]),
+             syncword.cli.main(["scan", "--n", "3", "--k", "2", "--json"])]
+commands = sorted(set(sys.modules) - before)
+print(json.dumps({"imported": imported, "commands": commands, "codes": codes}))
+"""
+
+
+def test_cli_import_loads_no_fractions_or_string():
+    # a fresh interpreter that ignores PYTHON* variables and user site-packages;
+    # modules it preloads (site may load string or numbers) do not count
+    proc = subprocess.run(
+        [sys.executable, "-E", "-s", "-c",
+         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n" + IMPORT_FENCE],
+        capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0]
+    late = {"fractions", "decimal", "numbers", "string"}
+    assert not late & set(got["imported"]), got["imported"]
+    assert "fractions" not in got["commands"], got["commands"]
