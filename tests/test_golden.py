@@ -43,7 +43,8 @@ def cases() -> dict[str, list[str]]:
     scans = [(3, 2, []), (3, 2, ["--canonical"]), (4, 2, []),
              (4, 2, ["--canonical"]), (3, 3, []), (3, 3, ["--canonical"]),
              (2, 4, ["--strongly-connected"]),
-             (4, 2, ["--strongly-connected"])]
+             (4, 2, ["--strongly-connected"]),
+             (4, 2, ["--strongly-connected", "--canonical"])]
     for n, k, flags in scans:
         tag = "".join("-" + flag.removeprefix("--") for flag in flags)
         out[f"scan-n{n}-k{k}{tag}.json"] = [
