@@ -120,32 +120,37 @@ def image(dfa: Dfa, P: int, w: Sequence[int]) -> int:
     return out
 
 
-def table_strongly_connected(flat: Sequence[int], n: int) -> bool:
-    """Strong connectivity of a letter-major flat table, flat[c*n + p] = p·c.
+def _strongly_connected(forward: int, backward: int, n: int) -> bool:
+    """Strong connectivity from edge masks: forward has bit p*n + t for
+    each edge p -> t, and backward the same edges reversed, bit t*n + p.
 
-    Double reachability sweep from state 0 over successor and predecessor
-    bitmasks: forward along edges, then along reversed edges; both must
-    cover all states.  The frontier is a bitmask too, taken lowest state
-    first.
+    Double reachability sweep from state 0, along forward then backward
+    edges; both must cover all states.  Row p of a mask is its bits
+    p*n .. p*n+n-1, and the frontier is a bitmask taken lowest state first.
     """
-    succ = [0] * n
-    pred = [0] * n
-    for base in range(0, len(flat), n):
-        for p in range(n):
-            t = flat[base + p]
-            succ[p] |= 1 << t
-            pred[t] |= 1 << p
-    for adj in (succ, pred):
+    full = (1 << n) - 1
+    for adj in (forward, backward):
         seen = frontier = 1
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            fresh = adj[low.bit_length() - 1] & ~seen
+            fresh = adj >> (low.bit_length() - 1) * n & full & ~seen
             seen |= fresh
             frontier |= fresh
-        if seen != (1 << n) - 1:
+        if seen != full:
             return False
     return True
+
+
+def table_strongly_connected(flat: Sequence[int], n: int) -> bool:
+    """Strong connectivity of a letter-major flat table, flat[c*n + p] = p·c,
+    from the edge masks its letters OR to."""
+    forward = backward = 0
+    for i, t in enumerate(flat):
+        p = i % n
+        forward |= 1 << p * n + t
+        backward |= 1 << t * n + p
+    return _strongly_connected(forward, backward, n)
 
 
 def is_strongly_connected(dfa: Dfa) -> bool:

@@ -202,10 +202,11 @@ def cmd_scan(args) -> int:
     if args.out:
         _emit("", args.out)  # an unwritable path fails before the scan
     report = enumeration.extremal_scan(cfg)
+    encoded = report.to_json() if args.json or args.out else ""
     if args.out:
-        _emit(report.to_json(), args.out)
+        _emit(encoded, args.out)
     if args.json:
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(encoded)
     else:
         lines = [f"scanned: {report.total} tables (n={report.n}, k={report.k})",
                  f"synchronizing: {report.synchronizing}",

@@ -23,7 +23,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 from . import linspace, series, sync
 from .automaton import (Dfa, Word, image, KARI_WORD, ROMAN_WORD, suffix_maps,
-                        table_strongly_connected, word_to_str)
+                        table_strongly_connected, word_to_str, _strongly_connected)
 from .errors import CapacityError, DfaError
 from .word_matrix import (WordMatrix, dense, identity, matrix_of_word,
                           matrices_of_letters, multiply, nonzero_columns, rank)
@@ -211,22 +211,29 @@ def _canonical_map_fixers(n: int, k: int) -> dict[int, list[Relabeling]]:
     return out
 
 
-def _degree_masks(n: int) -> list[int]:
-    """Each one-letter map, by value: bit p if it moves state p, and bit
-    n + t if it sends another state to t.
+def _map_masks(n: int) -> tuple[list[int], list[int], list[int]]:
+    """Each one-letter map m, by value: its degree mask, and its forward
+    and reversed edge masks.
 
-    In a strongly connected table with n >= 2 every state leaves for
-    another and is entered from another, so the masks of its letters OR
-    to all 2n bits.
+    The degree mask has bit p if m moves state p, and bit n + t if m sends
+    another state to t.  In a strongly connected table with n >= 2 every
+    state leaves for another and is entered from another, so the degree
+    masks of its letters OR to all 2n bits.  The edge masks have bit
+    p*n + m[p] and bit m[p]*n + p; ORed over the letters, they are the
+    table's adjacency as automaton._strongly_connected takes it.
     """
-    out = []
+    degrees, forward, backward = [], [], []
     for m in product(range(n), repeat=n):
-        mask = 0
+        degree = fwd = bwd = 0
         for p, t in enumerate(m):
             if t != p:
-                mask |= 1 << p | 1 << n + t
-        out.append(mask)
-    return out
+                degree |= 1 << p | 1 << n + t
+            fwd |= 1 << p * n + t
+            bwd |= 1 << t * n + p
+        degrees.append(degree)
+        forward.append(fwd)
+        backward.append(bwd)
+    return degrees, forward, backward
 
 
 def _fill_images(images: list[list[int]], flat: Sequence[int], n: int,
@@ -326,8 +333,9 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
     """Scan the letter-map multisets whose rank is worker modulo workers.
 
     One BFS per multiset, weighted by the number of tables it stands for.
-    A strongly connected scan first rules out, by _degree_masks, the
-    multisets whose letters leave some state unmoved or unentered.  The
+    A strongly connected scan first rules out, by the degree masks of
+    _map_masks, the multisets whose letters leave some state unmoved or
+    unentered, and tests the rest on their letters' edge masks ORed.  The
     masks are built only for k >= 2, where n <= 5 under the enumeration
     guard, so never for more than 3,125 maps.
     The maximal multisets are canonicalized once, after the maximum is
@@ -345,7 +353,9 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
     beyond_conjecture: list[tuple[int, ...]] = []
     images = [[0] * (1 << n) for _ in range(k)]
     built = [-1] * (n * k)
-    degrees = _degree_masks(n) if require_sc and k > 1 and n > 1 else None
+    degrees = None
+    if require_sc and k > 1 and n > 1:
+        degrees, forward, backward = _map_masks(n)
     all_degrees = (1 << 2 * n) - 1
     for values, flat in islice(_letter_multisets(n, k), worker, None, workers):
         if degrees is not None:
@@ -359,7 +369,16 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
                       sum(1 for _ in _counted_tables(values, flat, n, fixers)))
         else:
             weight = _arrangement_count(values)
-        if not weight or require_sc and not table_strongly_connected(flat, n):
+        if not weight:
+            continue
+        if degrees is not None:
+            fwd = bwd = 0
+            for v in values:
+                fwd |= forward[v]
+                bwd |= backward[v]
+            if not _strongly_connected(fwd, bwd, n):
+                continue
+        elif require_sc and not table_strongly_connected(flat, n):
             continue
         total += weight
         _fill_images(images, flat, n, built)

@@ -355,13 +355,16 @@ def test_scan_json_stable_across_workers(capsys):
     assert data["histogram"]["4"] == 24
 
 
-def test_scan_out_file(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_scan_out_file(tmp_path, capsys, flags):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "scan", "--n", "2", "--k", "1",
-                       "--out", str(path))
+                       "--out", str(path), *flags)
     assert code == 0
     data = json.loads(path.read_text())
     assert data["total"] == 4
+    if flags:
+        assert out.encode() == path.read_bytes()
 
 
 def test_scan_guard(capsys):

@@ -17,14 +17,14 @@ from syncword import (automaton, cli, enumeration, linspace, series, sync,
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
                                   _canonical_map_fixers, _counted_tables,
                                   _is_canonical, _letter_multisets,
-                                  _relabelings, _word_pool, canonical_flat,
-                                  claim_checks, flat_to_dfa,
+                                  _map_masks, _relabelings, _word_pool,
+                                  canonical_flat, claim_checks, flat_to_dfa,
                                   independent_suffix_length,
                                   suffix_closed_dimension_check,
                                   verify_automaton)
 
-from oracles import (dfa_to_flat, index_to_flat, reference_scan, relabel_flat,
-                     strongly_connected_class_count)
+from oracles import (all_pairs_reachable, dfa_to_flat, index_to_flat,
+                     reference_scan, relabel_flat, strongly_connected_class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +294,31 @@ def test_witnesses_are_canonicalized_once_per_counted_table(monkeypatch):
 def test_strongly_connected_scan_rules_out_multisets_by_degree_masks(monkeypatch):
     # of the 32,896 multisets of two 4-state maps, 11,685 move and enter
     # every state; 10,482 of those are strongly connected
-    real = enumeration.table_strongly_connected
+    real = enumeration._strongly_connected
     calls = []
 
-    def counting(flat, n):
-        calls.append(tuple(flat))
-        return real(flat, n)
+    def counting(forward, backward, n):
+        calls.append((forward, backward, n))
+        return real(forward, backward, n)
 
-    monkeypatch.setattr(enumeration, "table_strongly_connected", counting)
+    monkeypatch.setattr(enumeration, "_strongly_connected", counting)
     report = extremal_scan(ScanConfig(4, 2, require_strongly_connected=True))
     assert report.total == 20958
     assert len(calls) == 11685
-    assert sum(real(flat, 4) for flat in calls) == 10482
+    assert sum(real(*call) for call in calls) == 10482
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_map_edge_masks_ored_decide_strong_connectivity(n):
+    # every multiset of two n-state maps, against a separate search
+    degrees, forward, backward = _map_masks(n)
+    for values, flat in _letter_multisets(n, 2):
+        fwd = forward[values[0]] | forward[values[1]]
+        bwd = backward[values[0]] | backward[values[1]]
+        expected = all_pairs_reachable(flat_to_dfa(flat, n, 2))
+        assert enumeration._strongly_connected(fwd, bwd, n) == expected
+        if expected:
+            assert degrees[values[0]] | degrees[values[1]] == (1 << 2 * n) - 1
 
 
 def test_scan_holds_no_list_of_all_letter_maps():
