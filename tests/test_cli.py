@@ -355,16 +355,22 @@ def test_scan_json_stable_across_workers(capsys):
     assert data["histogram"]["4"] == 24
 
 
-@pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_scan_out_file(tmp_path, capsys, flags):
+def test_scan_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "scan", "--n", "2", "--k", "1",
-                       "--out", str(path), *flags)
+                       "--out", str(path))
     assert code == 0
     data = json.loads(path.read_text())
     assert data["total"] == 4
-    if flags:
-        assert out.encode() == path.read_bytes()
+
+
+def test_scan_out_file_with_json_matches_stdout(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "scan", "--n", "2", "--k", "1",
+                       "--out", str(path), "--json")
+    assert code == 0
+    assert json.loads(path.read_text())["total"] == 4
+    assert out.encode() == path.read_bytes()
 
 
 def test_scan_guard(capsys):
