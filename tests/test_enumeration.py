@@ -560,6 +560,64 @@ def test_verify_flags_a_series_that_is_not_linear(monkeypatch):
     assert results["coefficient-sum"].passed
 
 
+def test_verify_flags_a_composition_that_reads_its_factors_in_reverse(monkeypatch):
+    real = word_matrix.multiply
+    monkeypatch.setattr(enumeration, "multiply", lambda A, B: real(B, A))
+    for name, detail in (("cerny:4", "counterexample ((0,), (1,))"),
+                         ("roman", "counterexample ((0,), (0, 1))")):
+        results = {r.name: r for r in verify_automaton(
+            automaton.builtin_automaton(name))}
+        assert results["image-monotone"] == CheckResult("image-monotone", False, detail)
+
+
+def test_verify_flags_a_wrong_rank(monkeypatch):
+    # every rank-2 matrix counted as rank 1: kari's pool words have none
+    real = word_matrix.rank
+    monkeypatch.setattr(enumeration, "rank", lambda M: real(M) - (real(M) == 2))
+    for name, detail in (("cerny:3", "counterexample b"),
+                         ("cerny:4", "counterexample bbabaab"), ("kari", "")):
+        results = {r.name: r for r in verify_automaton(
+            automaton.builtin_automaton(name))}
+        assert results["rank-by-columns"] == CheckResult(
+            "rank-by-columns", not detail, detail)
+        assert results["reset-matrix"].passed
+
+
+def test_verify_flags_a_value_that_is_not_constant_on_a_level_span(monkeypatch):
+    # a word of length > 1 starting with b gains 1; the words inside a
+    # level's span are tested level by level, and the last failing level
+    # names its first word in pool order
+    real = series.series_value
+    monkeypatch.setattr(series, "series_value", lambda dfa, w, q: real(dfa, w, q)
+                        + (len(w) > 1 and w[0] == 1))
+    for name, detail in (("kari", "bbb at level 1"),
+                         ("cerny:4", "babaaabb at level 2")):
+        results = {r.name: r for r in verify_automaton(
+            automaton.builtin_automaton(name))}
+        assert results["constant-level-span"] == CheckResult(
+            "constant-level-span", False, detail)
+
+
+def test_verify_flags_an_echelon_that_drops_its_first_vector(monkeypatch):
+    # the suffix matrices are added by length, the empty suffix first; an
+    # echelon that reports its first vector added but keeps no row for it
+    # spans one dimension fewer than the suffixes it accepted
+    real = linspace.RowEchelon.add
+
+    def drops_first(self, vec):
+        if not hasattr(self, "dropped"):
+            self.dropped = True
+            return True
+        return real(self, vec)
+
+    monkeypatch.setattr(linspace.RowEchelon, "add", drops_first)
+    for name in ("cerny:4", "kari", "roman"):
+        results = {r.name: r for r in verify_automaton(
+            automaton.builtin_automaton(name))}
+        assert results["suffix-independence"] == CheckResult(
+            "suffix-independence", False)
+
+
 def test_q_relation_failures_name_the_first_triple_and_its_least_state(monkeypatch):
     # each check tests every state of a triple at once; the detail must
     # still be the first failing triple in sample order, with its least q
