@@ -25,13 +25,13 @@ from . import linspace, series, sync
 from .automaton import (Dfa, Word, image, KARI_WORD, ROMAN_WORD, suffix_maps,
                         table_strongly_connected, word_to_str, _strongly_connected)
 from .errors import CapacityError, DfaError
-from .word_matrix import (WordMatrix, dense, identity, matrix_of_word,
-                          matrices_of_letters, multiply, nonzero_columns, rank)
+from .word_matrix import (WordMatrix, dense, matrix_of_word, matrices_of_letters,
+                          multiply, nonzero_columns, rank)
 
 ENUMERATION_GUARD = 10 ** 9
 CANONICAL_MAX_N = 5
-# image-monotone composes every ordered pair of pool words of length <= 3,
-# (k^3+k^2+k+1)^2 of them: 342,225 at k = 8
+# image-monotone composes ordered pairs of pool words of length <= 3, at
+# most (k^3+k^2+k+1)^2 of them: 342,225 at k = 8
 VERIFY_MAX_K = 8
 
 
@@ -506,36 +506,6 @@ def extremal_scan(cfg: ScanConfig) -> ScanReport:
 
 
 # ---------------------------------------------------------------------------
-# suffix independence
-
-def independent_suffix_length(dfa: Dfa, s: Sequence[int]) -> int:
-    """Length of the largest suffix whose suffix-matrix set is independent.
-
-    Suffix matrices are added by increasing length, the empty suffix (the
-    identity) included; independence, once broken, never returns, so the
-    first dependent length stops the growth.
-    """
-    ech = linspace.RowEchelon(dfa.n * dfa.n)
-    for f in reversed(suffix_maps(dfa, s)):
-        if not ech.add(linspace.flatten(WordMatrix(tuple(f)))):
-            break
-    return ech.dimension - 1
-
-
-def suffix_closed_dimension_check(dfa: Dfa, s: Sequence[int]) -> bool:
-    """Dimension equals the member count on the largest independent suffix set.
-
-    For the largest suffix u of s whose matrices {M_t : t a suffix of u}
-    are independent, the span dimension must equal the number of those
-    matrices, |u|+1 counting the empty suffix.
-    """
-    length = independent_suffix_length(dfa, s)
-    u = s[len(s) - length:]
-    vecs = [linspace.flatten(WordMatrix(tuple(f))) for f in suffix_maps(dfa, u)]
-    return linspace.span_dimension(vecs) == length + 1
-
-
-# ---------------------------------------------------------------------------
 # the assertion battery
 
 class CheckResult:
@@ -630,30 +600,32 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     check("upper-bound", best.length <= cube,
           f"length {best.length} vs bound {cube}")
 
-    # each pool word's matrix and series value, built once; many words share
-    # a matrix, so what reads only the matrix (or the matrix and the value)
-    # is computed once per distinct input, and the loops over the pool still
-    # report the first counterexample in pool order
+    # each pool word's matrix and series value, built once.  Every per-word
+    # check reads a word's matrix, or its matrix and its value, so it runs
+    # over the first pool word of each (matrix, value) pair, in pool order,
+    # and still reports the pool's first counterexample.  The value stays in
+    # the key: series-linearity tests that it is a function of the matrix.
     mat = {w: matrix_of_word(dfa, w) for w in dict.fromkeys(pool)}
     val = {w: series.series_value(dfa, w, q) for w in mat}
-    distinct = {M.rows: M for M in mat.values()}
-    vec = {rows: linspace.flatten(M) for rows, M in distinct.items()}
+    first: dict[tuple, Word] = {}
+    for w in pool:
+        first.setdefault((mat[w].rows, val[w]), w)
+    words = list(first.values())
+    vec = {w: linspace.flatten(mat[w]) for w in words}
 
-    # image monotonicity: columns of a longer word sit inside its suffix's
-    short = [w for w in pool if len(w) <= 3]
-    short_mats = {mat[w].rows: mat[w] for w in short}
-    grows = {(a, b) for a, A in short_mats.items() for b, B in short_mats.items()
-             if nonzero_columns(multiply(A, B)) & ~nonzero_columns(B)}
+    # image monotonicity: columns of a longer word sit inside its suffix's;
+    # the words of length <= 3 come first in the pool
+    short = [w for w in words if len(w) <= 3]
     bad = next(((u, s) for u in short for s in short
-                if (mat[u].rows, mat[s].rows) in grows), None) if grows else None
+                if nonzero_columns(multiply(mat[u], mat[s])) & ~nonzero_columns(mat[s])),
+               None)
     check("image-monotone", bad is None, f"counterexample {bad}" if bad else "")
 
     # reset matrix shape and rank-by-columns
     M_min = matrix_of_word(dfa, s_min)
     check("reset-matrix", nonzero_columns(M_min) == 1 << q and rank(M_min) == 1)
-    rank_ok = {rows: rank(M) == linspace.span_dimension(dense(M))
-               for rows, M in distinct.items()}
-    bad = next((w for w in pool if not rank_ok[mat[w].rows]), None)
+    bad = next((w for w in words
+                if rank(mat[w]) != linspace.span_dimension(dense(mat[w]))), None)
     check("rank-by-columns", bad is None,
           f"counterexample {word_to_str(bad)}" if bad else "")
 
@@ -683,13 +655,9 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     span = linspace.RowEchelon(n * n, tail=2)
     for (w, _), f in zip(witnesses, flats):
         span.add(f + (1, series.series_value(dfa, w, q)))
-    tails = {}
     bad_sum = bad_lin = None
-    for w in pool:
-        key = mat[w].rows, val[w]
-        if key not in tails:
-            tails[key] = span.residual(vec[key[0]] + (1, val[w]))
-        *res, lin = tails[key]
+    for w in words:
+        *res, lin = span.residual(vec[w] + (1, val[w]))
         if any(res):
             bad_sum = bad_sum or w
         elif lin:
@@ -699,23 +667,24 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     check("series-linearity", bad_lin is None,
           f"counterexample {word_to_str(bad_lin)}" if bad_lin else "")
 
-    # constant-level spans: a word matrix inside a level's span has that value
+    # constant-level spans: a word matrix inside a level's span has that
+    # value; the minimal word's suffix matrices are flattened once, by
+    # length, the empty suffix first
     profile = series.suffix_profile(dfa, s_min, q)
-    suffixes = list(zip(profile, reversed(suffix_maps(dfa, s_min))))
+    suffix_vecs = [linspace.flatten(WordMatrix(tuple(f)))
+                   for f in reversed(suffix_maps(dfa, s_min))]
     ok, detail = True, ""
     for level in range(0, n - 1):
-        members = [f for (_, value), f in suffixes if value == level]
+        members = [v for (_, value), v in zip(profile, suffix_vecs) if value == level]
         if len(members) < 2:
             continue
         lech = linspace.RowEchelon(n * n)
-        for f in members:
-            lech.add(linspace.flatten(WordMatrix(tuple(f))))
-        inside = {rows: lech.contains(v) for rows, v in vec.items()}
-        for w in pool:
-            if inside[mat[w].rows]:
-                if val[w] != level:
-                    ok, detail = False, f"{word_to_str(w)} at level {level}"
-                    break
+        for v in members:
+            lech.add(v)
+        bad = next((w for w in words if val[w] != level and lech.contains(vec[w])),
+                   None)
+        if bad is not None:
+            ok, detail = False, f"{word_to_str(bad)} at level {level}"
     check("constant-level-span", ok, detail)
 
     # letter closure of the saturated span, with a randomized membership probe
@@ -738,7 +707,11 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
 
     # the paper's claims about the minimal word
     results += claim_checks(dfa, best)
-    check("suffix-independence", suffix_closed_dimension_check(dfa, s_min))
+    # the suffix matrices span as many dimensions as there are of them, up
+    # to the first that adds none
+    sech = linspace.RowEchelon(n * n)
+    i = next((i for i, v in enumerate(suffix_vecs) if not sech.add(v)), len(suffix_vecs))
+    check("suffix-independence", linspace.span_dimension(suffix_vecs[:i]) == i)
 
     # left stability and reset collapse over sampled triples
     rng = random.Random(13 * n + dfa.k)
@@ -753,8 +726,7 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
 
     # diagnostic only, never failed: composition of the value-0 q-class of
     # the identity (invertible members vs. singular members of rank > 1)
-    E = identity(n)
-    zero_class = [w for w in pool if val[w] == 0 and sync.q_equivalent(mat[w], E, q)]
+    zero_class = [w for w in pool if val[w] == 0 and sync.q_column(mat[w], q) == 1 << q]
     invertible = sum(1 for w in zero_class if nonzero_columns(mat[w]) == dfa.full_set)
     singular_big = sum(1 for w in zero_class if 1 < rank(mat[w]) < n)
     check("zero-class-composition", True,

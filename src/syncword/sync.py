@@ -237,12 +237,6 @@ def _same_size(*matrices: WordMatrix) -> None:
         raise DfaError(f"dimension mismatch: {[M.n for M in matrices]}")
 
 
-def q_equivalent(A: WordMatrix, B: WordMatrix, q: int) -> bool:
-    """Equal q-columns."""
-    _same_size(A, B)
-    return q_column(A, q) == q_column(B, q)
-
-
 def left_stability_check(Ma: WordMatrix, Mu: WordMatrix,
                          Mv: WordMatrix) -> int | None:
     """The least state q at which left multiplication breaks a q-relation

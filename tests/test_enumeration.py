@@ -19,8 +19,6 @@ from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
                                   _is_canonical, _letter_multisets,
                                   _map_masks, _relabelings, _word_pool,
                                   canonical_flat, claim_checks, flat_to_dfa,
-                                  independent_suffix_length,
-                                  suffix_closed_dimension_check,
                                   verify_automaton)
 
 from oracles import (all_pairs_reachable, dfa_to_flat, index_to_flat,
@@ -356,28 +354,6 @@ def test_report_json_shape():
                          "max_length_count", "witnesses",
                          "upper_bound_violations", "conjecture_counterexamples"}
     assert all(isinstance(key, str) for key in data["histogram"])
-
-
-# ---------------------------------------------------------------------------
-# suffix independence
-
-def test_suffix_independence_on_minimal_words():
-    d = cerny_automaton(4)
-    assert independent_suffix_length(d, cerny_word(4)) == 9
-    assert suffix_closed_dimension_check(d, cerny_word(4))
-
-
-def test_suffix_independence_breaks_at_repeat():
-    d = cerny_automaton(4)
-    s = cerny_word(4)
-    assert independent_suffix_length(d, s + s) == len(s)
-    assert suffix_closed_dimension_check(d, s + s)
-
-
-def test_identity_letter_gives_empty_suffix_only():
-    ident = Dfa(2, 1, ((0, 1),))
-    assert independent_suffix_length(ident, (0, 0, 0)) == 0
-    assert suffix_closed_dimension_check(ident, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from syncword import (CapacityError, Dfa, DfaError, KARI_WORD,
 from syncword import sync
 from syncword.automaton import word_from_str
 from syncword.sync import (is_synchronizing, left_stability_check,
-                           near_sync_suffixes, q_column, q_equivalent,
+                           near_sync_suffixes, q_column,
                            reset_collapse_check, suffix_distinctness_check)
 
 from oracles import (brute_minimal_reset, brute_removable_split,
@@ -238,7 +238,7 @@ def test_q_column_is_preimage():
 
 def test_reference_five_state_matrices():
     q = 4  # the last column
-    assert q_equivalent(PAPER_V1, PAPER_V2, q)
+    assert q_column(PAPER_V1, q) == q_column(PAPER_V2, q)
     prod1 = multiply(PAPER_MA, PAPER_V1)
     prod2 = multiply(PAPER_MA, PAPER_V2)
     assert prod1 == prod2 == WordMatrix((4, 4, 4, 4, 4))
@@ -248,8 +248,9 @@ def test_q_equivalent_cases():
     d = cerny_automaton(4)
     E = matrix_of_word(d, ())
     reset = matrix_of_word(d, cerny_word(4))
-    assert q_equivalent(E, E, 2)
-    assert not q_equivalent(E, reset, 1)
+    # M ~q N when their q-columns are equal
+    assert q_column(E, 2) == 0b0100
+    assert q_column(reset, 1) == d.full_set != q_column(E, 1)
 
 
 def test_left_stability_trivial_and_exhaustive_small():
@@ -268,7 +269,7 @@ def test_reset_collapse_nonvacuous_instance():
     t, u, v, q = cerny_word(4), (0, 1), (0,), 2
     Mu, Mv = matrix_of_word(d, u), matrix_of_word(d, v)
     Mt = matrix_of_word(d, t)
-    assert Mu != Mv and q_equivalent(Mu, Mv, q)
+    assert Mu != Mv and q_column(Mu, q) == q_column(Mv, q)
     assert q_column(multiply(Mt, Mv), q) == d.full_set  # premises really hold
     assert reset_collapse_check(Mt, Mu, Mv) is None
     assert multiply(Mt, Mu) == multiply(Mt, Mv)
@@ -287,7 +288,7 @@ def _reversed_composition(A, B):
 def test_left_stability_fails_under_a_wrong_composition(monkeypatch):
     d = cerny_automaton(3)
     Ma, Mu, Mv = (matrix_of_word(d, word_from_str(w)) for w in ("a", "", "b"))
-    assert q_equivalent(Mu, Mv, 2)  # the premise holds
+    assert q_column(Mu, 2) == q_column(Mv, 2)  # the premise holds
     assert left_stability_check(Ma, Mu, Mv) is None
     monkeypatch.setattr(sync, "multiply", _reversed_composition)
     assert left_stability_check(Ma, Mu, Mv) == 2
@@ -306,9 +307,7 @@ def test_reset_collapse_fails_under_a_wrong_composition(monkeypatch):
 def test_q_relation_checks_reject_bad_q_and_sizes():
     E3, E4 = identity(3), identity(4)
     with pytest.raises(DfaError):
-        q_equivalent(E3, E3, 3)
-    with pytest.raises(DfaError):
-        q_equivalent(E3, E4, 0)
+        q_column(E3, 3)
     for check in (left_stability_check, reset_collapse_check):
         for sizes in ((E3, E3, E4), (E3, E4, E3), (E4, E3, E3)):
             with pytest.raises(DfaError):
