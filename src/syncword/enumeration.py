@@ -584,6 +584,9 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     def check(check_name: str, passed: bool, detail: str = ""):
         results.append(CheckResult(check_name, bool(passed), detail))
 
+    def counterexample(w: Word | None) -> str:
+        return "" if w is None else f"counterexample {word_to_str(w) or 'ε'}"
+
     # reset word and basic facts
     best = sync.shortest_reset_word(dfa)
     check("synchronizing", best is not None,
@@ -626,8 +629,7 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     check("reset-matrix", nonzero_columns(M_min) == 1 << q and rank(M_min) == 1)
     bad = next((w for w in words
                 if rank(mat[w]) != linspace.span_dimension(dense(mat[w]))), None)
-    check("rank-by-columns", bad is None,
-          f"counterexample {word_to_str(bad)}" if bad else "")
+    check("rank-by-columns", bad is None, counterexample(bad))
 
     # matrix space dimensions; with k >= n letters the n support columns
     # span every row-functional matrix, n(n-1)+1 dimensions
@@ -659,13 +661,12 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     for w in words:
         *res, lin = span.residual(vec[w] + (1, val[w]))
         if any(res):
-            bad_sum = bad_sum or w
-        elif lin:
-            bad_lin = bad_lin or w
-    check("coefficient-sum", bad_sum is None,
-          f"counterexample {word_to_str(bad_sum)}" if bad_sum else "")
-    check("series-linearity", bad_lin is None,
-          f"counterexample {word_to_str(bad_lin)}" if bad_lin else "")
+            if bad_sum is None:
+                bad_sum = w
+        elif lin and bad_lin is None:
+            bad_lin = w
+    check("coefficient-sum", bad_sum is None, counterexample(bad_sum))
+    check("series-linearity", bad_lin is None, counterexample(bad_lin))
 
     # constant-level spans: a word matrix inside a level's span has that
     # value; the minimal word's suffix matrices are flattened once, by
@@ -684,7 +685,7 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
         bad = next((w for w in words if val[w] != level and lech.contains(vec[w])),
                    None)
         if bad is not None:
-            ok, detail = False, f"{word_to_str(bad)} at level {level}"
+            ok, detail = False, f"{word_to_str(bad) or 'ε'} at level {level}"
     check("constant-level-span", ok, detail)
 
     # letter closure of the saturated span, with a randomized membership probe

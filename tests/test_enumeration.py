@@ -536,6 +536,26 @@ def test_verify_flags_a_series_that_is_not_linear(monkeypatch):
     assert results["coefficient-sum"].passed
 
 
+def test_verify_names_the_empty_word_as_a_counterexample(monkeypatch):
+    # the empty word comes first in the pool.  Without the identity in the
+    # witness list, and with every invertible matrix counted one rank
+    # short, it is the first counterexample of both checks
+    real_span = linspace.word_matrix_span
+
+    def without_identity(dfa):
+        ech, witnesses = real_span(dfa)
+        return ech, witnesses[1:]
+
+    monkeypatch.setattr(linspace, "word_matrix_span", without_identity)
+    real_rank = word_matrix.rank
+    monkeypatch.setattr(enumeration, "rank", lambda M: real_rank(M) - (real_rank(M) == M.n))
+    for name in ("cerny:4", "kari", "roman"):
+        results = {r.name: r for r in verify_automaton(
+            automaton.builtin_automaton(name))}
+        for check in ("coefficient-sum", "rank-by-columns"):
+            assert results[check] == CheckResult(check, False, "counterexample ε")
+
+
 def test_verify_flags_a_composition_that_reads_its_factors_in_reverse(monkeypatch):
     real = word_matrix.multiply
     monkeypatch.setattr(enumeration, "multiply", lambda A, B: real(B, A))
