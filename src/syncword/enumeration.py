@@ -43,25 +43,23 @@ class ScanConfig:
 
     def __init__(self, n: int, k: int, require_strongly_connected: bool = False,
                  worker_count: int = 1, canonicalize: bool = False):
-        if n < 1 or k < 1:
-            raise DfaError("n and k must be positive")
-        if worker_count < 1:
-            raise DfaError("worker_count must be positive")
+        # as in Dfa: bool is an int subclass, and a float or a str would
+        # pass these tests or fail inside the scan
+        if type(n) is not int or type(k) is not int or n < 1 or k < 1:
+            raise DfaError(f"n and k must be positive integers, got {n!r} {k!r}")
+        if type(worker_count) is not int or worker_count < 1:
+            raise DfaError(f"worker_count must be a positive integer, got {worker_count!r}")
         self.n = n
         self.k = k
         self.require_strongly_connected = require_strongly_connected
         self.worker_count = worker_count
         self.canonicalize = canonicalize
 
-    @property
-    def table_count(self) -> int:
-        return self.n ** (self.n * self.k)
-
     def check_guard(self):
         nk = self.n * self.k
         # from this exponent on, n > 1 gives n^nk >= 2^nk tables, and n = 1
         # one table whose scan still costs O(k); the power is never built
-        if nk >= ENUMERATION_GUARD.bit_length() or self.table_count > ENUMERATION_GUARD:
+        if nk >= ENUMERATION_GUARD.bit_length() or self.n ** nk > ENUMERATION_GUARD:
             raise CapacityError(f"{self.n}^{nk} tables: the enumeration guard needs "
                                 f"n*k < 30 and at most {ENUMERATION_GUARD} tables")
         if self.canonicalize and self.n > CANONICAL_MAX_N:
@@ -307,22 +305,12 @@ class ScanReport:
         self.conjecture_counterexamples: list[tuple[int, ...]] = []
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "require_strongly_connected": self.require_strongly_connected,
-            "canonicalize": self.canonicalize,
-            "total": self.total,
-            "synchronizing": self.synchronizing,
-            "histogram": {str(length): count
-                          for length, count in sorted(self.histogram.items())},
-            "max_length": self.max_length,
-            "max_length_count": self.max_length_count,
-            "witnesses": [list(w) for w in self.witnesses],
-            "upper_bound_violations": [list(w) for w in self.upper_bound_violations],
-            "conjecture_counterexamples": [list(w)
-                                           for w in self.conjecture_counterexamples],
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["histogram"] = {str(length): count
+                            for length, count in sorted(self.histogram.items())}
+        for name in ("witnesses", "upper_bound_violations", "conjecture_counterexamples"):
+            out[name] = [list(t) for t in out[name]]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

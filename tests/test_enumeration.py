@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syncword import (CapacityError, Dfa, ResetResult, ScanConfig,
+from syncword import (CapacityError, Dfa, DfaError, ResetResult, ScanConfig,
                       cerny_automaton, cerny_word, extremal_scan,
                       shortest_reset_word)
 import syncword
@@ -111,6 +111,15 @@ def test_canonical_enumeration_matches_canonical_flat(n, k):
 def test_enumerate_strongly_connected_canonical_matches_oracle():
     cfg = ScanConfig(3, 2, require_strongly_connected=True, canonicalize=True)
     assert extremal_scan(cfg).total == strongly_connected_class_count(3, 2)
+
+
+@pytest.mark.parametrize("args", [(2.0, 2), (2, 2.0), ("3", 2), (True, 2), (2, True),
+                                  (0, 2), (2, 0), (2, 2, False, 1.5),
+                                  (2, 2, False, True), (2, 2, False, 0)])
+def test_scan_config_rejects_what_is_not_a_positive_int(args):
+    # a float or a str used to fail inside the scan, and True to scan n = 1
+    with pytest.raises(DfaError):
+        ScanConfig(*args)
 
 
 def test_guard_rejects_oversized_spaces():
