@@ -12,6 +12,7 @@ from math import gcd
 from syncword import Dfa, DfaError, ScanConfig, ScanReport, image
 from syncword import enumeration
 from syncword.enumeration import canonical_flat, flat_to_dfa
+from syncword.sync import _suffix_columns
 
 
 def apply(dfa: Dfa, p: int, w) -> int:
@@ -163,6 +164,32 @@ def brute_removable_split(dfa: Dfa, s, q: int):
             if all(apply(dfa, p, w) == q for p in range(dfa.n)):
                 return i, j
     return None
+
+
+def near_sync_by_search(dfa: Dfa, best):
+    """near_sync_suffixes as a search: the count and distinct-astray
+    postconditions, then every letter prefixed to every suffix found.
+
+    Returns the suffixes of value n-2, shortest first, and the first failed
+    postcondition, or None.
+    """
+    s, cols = _suffix_columns(dfa, best.word, best.target)
+    full = dfa.full_set
+    found = []
+    astray = []
+    for j in range(len(s), -1, -1):
+        odd = full & ~cols[j]
+        if odd.bit_count() == 1:
+            found.append(s[j:])
+            astray.append(odd.bit_length() - 1)
+    if len(found) > dfa.n:
+        return found, str((len(found), dfa.n))
+    if len(set(astray)) != len(astray):
+        return found, str(astray)
+    if found and not any(image(dfa, full, (c,) + u).bit_count() == 1
+                         for c in range(dfa.k) for u in found):
+        return found, "no letter completes a near-synchronizing suffix"
+    return found, None
 
 
 def strongly_connected_class_count(n: int, k: int) -> int:

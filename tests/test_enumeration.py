@@ -22,7 +22,7 @@ from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
                                   verify_automaton)
 
 from oracles import (all_pairs_reachable, dfa_to_flat, index_to_flat,
-                     reference_scan, relabel_flat, strongly_connected_class_count)
+                     near_sync_by_search, reference_scan, relabel_flat, strongly_connected_class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +491,9 @@ def test_claims_over_every_canonical_four_state_two_letter_class():
         if best is None:
             continue
         synchronizing += 1
+        found, failure = sync.near_sync_suffixes(dfa, best)
+        want, fault = near_sync_by_search(dfa, best)
+        assert found == want and (failure is None) == (fault is None), flat
         failed = [r for r in claim_checks(dfa, best) if not r.passed]
         if failed:
             assert [(r.name, r.detail) for r in failed] == [

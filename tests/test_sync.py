@@ -20,7 +20,7 @@ from syncword.sync import (is_synchronizing, left_stability_check,
                            reset_collapse_check, suffix_distinctness_check)
 
 from oracles import (brute_minimal_reset, brute_removable_split,
-                     frozenset_minimal_reset)
+                     frozenset_minimal_reset, near_sync_by_search)
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +436,22 @@ def test_two_state_degenerate_case():
     r = shortest_reset_word(d)
     assert r.word == word_from_str("b") and r.target == 1
     assert near_sync_suffixes(d, r) == ([()], None)
+
+
+def test_near_sync_and_pair_test_agree_with_the_searches_on_every_small_table():
+    # every table with n <= 3 and k <= 3: near_sync_suffixes against the
+    # letters x suffixes search it replaces, is_synchronizing against the
+    # subset search; no minimal word here fails the completion clause
+    synchronizing = 0
+    for n, k in product((1, 2, 3), repeat=2):
+        for flat in product(range(n), repeat=n * k):
+            d = Dfa(n, k, tuple(flat[c * n:(c + 1) * n] for c in range(k)))
+            best = shortest_reset_word(d)
+            assert is_synchronizing(d) == (best is not None), flat
+            if best is None:
+                continue
+            synchronizing += 1
+            found, failure = near_sync_suffixes(d, best)
+            assert (found, failure) == near_sync_by_search(d, best), flat
+            assert failure is None, flat
+    assert synchronizing == 19006
