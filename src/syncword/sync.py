@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -47,38 +46,31 @@ class ResetResult:
 def is_synchronizing(dfa: Dfa) -> bool:
     """Pair-merging criterion: every two states can be sent to one state.
 
-    Backward propagation over unordered state pairs from the directly
-    mergeable ones, O(n^2 k); avoids the exponential subset search.
+    Backward propagation over unordered state pairs p < q, indexed p*n + q,
+    from the directly mergeable ones, O(n^2 k); avoids the exponential
+    subset search.  Each pair enters the queue once, when found mergeable.
     """
     n = dfa.n
-    if n == 1:
-        return True
-    pair_id = {}
-    pairs = []
+    preds: list[list[int]] = [[] for _ in range(n * n)]
+    merged = bytearray(n * n)
+    queue = []
     for p in range(n):
         for q in range(p + 1, n):
-            pair_id[(p, q)] = len(pairs)
-            pairs.append((p, q))
-    preds: list[list[int]] = [[] for _ in pairs]
-    mergeable = [False] * len(pairs)
-    queue = deque()
-    for pid, (p, q) in enumerate(pairs):
-        for row in dfa.delta:
-            p2, q2 = row[p], row[q]
-            if p2 == q2:
-                if not mergeable[pid]:
-                    mergeable[pid] = True
-                    queue.append(pid)
-            else:
-                tid = pair_id[(p2, q2) if p2 < q2 else (q2, p2)]
-                preds[tid].append(pid)
-    while queue:
-        tid = queue.popleft()
+            pid = p * n + q
+            for row in dfa.delta:
+                p2, q2 = row[p], row[q]
+                if p2 == q2:
+                    if not merged[pid]:
+                        merged[pid] = 1
+                        queue.append(pid)
+                else:
+                    preds[p2 * n + q2 if p2 < q2 else q2 * n + p2].append(pid)
+    for tid in queue:  # the queue grows while it is walked
         for pid in preds[tid]:
-            if not mergeable[pid]:
-                mergeable[pid] = True
+            if not merged[pid]:
+                merged[pid] = 1
                 queue.append(pid)
-    return all(mergeable)
+    return len(queue) == n * (n - 1) // 2
 
 
 def _chunk_tables(row: Sequence[int], n: int, width: int) -> tuple[list[int], ...]:
@@ -211,22 +203,14 @@ def q_column(M: WordMatrix, q: int) -> int:
     """Bitmask of rows holding a unit in column q: the preimage of q."""
     if not 0 <= q < M.n:
         raise DfaError(f"state {q} out of range [0, {M.n})")
-    return _preimage(M.rows, q)
+    return _columns(M.rows)[q]
 
 
-def _preimage(f: Sequence[int], q: int) -> int:
-    """Bitmask of the states p with f[p] == q."""
-    out = 0
-    for p, t in enumerate(f):
-        if t == q:
-            out |= 1 << p
-    return out
-
-
-def _columns(M: WordMatrix) -> list[int]:
-    """Every q-column of M, by q, from one pass over its rows."""
-    cols = [0] * M.n
-    for p, q in enumerate(M.rows):
+def _columns(f: Sequence[int]) -> list[int]:
+    """Every q-column of the state map f (M.rows, say), by q: entry q is the
+    bitmask of the states p with f[p] == q."""
+    cols = [0] * len(f)
+    for p, q in enumerate(f):
         cols[q] |= 1 << p
     return cols
 
@@ -248,8 +232,8 @@ def left_stability_check(Ma: WordMatrix, Mu: WordMatrix,
     product is composed once for all q.
     """
     _same_size(Ma, Mu, Mv)
-    u, v = _columns(Mu), _columns(Mv)
-    au, av = _columns(multiply(Ma, Mu)), _columns(multiply(Ma, Mv))
+    u, v = _columns(Mu.rows), _columns(Mv.rows)
+    au, av = _columns(multiply(Ma, Mu).rows), _columns(multiply(Ma, Mv).rows)
     for q in range(Mu.n):
         if not v[q] & ~u[q] and (av[q] & ~au[q] or u[q] == v[q] and au[q] != av[q]):
             return q
@@ -270,7 +254,7 @@ def reset_collapse_check(Mt: WordMatrix, Mu: WordMatrix,
     Mtv = multiply(Mt, Mv)
     q = Mtv.rows[0]
     if (any(t != q for t in Mtv.rows)
-            or _preimage(Mv.rows, q) & ~_preimage(Mu.rows, q)
+            or _columns(Mv.rows)[q] & ~_columns(Mu.rows)[q]
             or multiply(Mt, Mu) == Mtv):
         return None
     return q
@@ -286,7 +270,7 @@ def _suffix_columns(dfa: Dfa, s: Sequence[int], q: int) -> tuple[Word, list[int]
     q-column of the whole word is full.
     """
     s, q = dfa.check_word(s), dfa.check_state(q)
-    cols = [_preimage(f, q) for f in suffix_maps(dfa, s)]
+    cols = [_columns(f)[q] for f in suffix_maps(dfa, s)]
     if cols[0] != dfa.full_set:
         raise DfaError("word does not reset the automaton to the given state")
     return s, cols
@@ -325,27 +309,17 @@ def suffix_distinctness_check(dfa: Dfa, s: Sequence[int], q: int) -> bool:
 def near_sync_suffixes(dfa: Dfa, best: ResetResult) -> tuple[list[Word], str | None]:
     """Suffixes of a minimal reset word whose value is n-2: one state astray.
 
-    `best` is the result of shortest_reset_word, whose word is minimal;
-    its word must reset to its target, else DfaError.  Each suffix found
-    maps all states but one to the target.  Returns the suffixes and the
-    first failed postcondition, or None: there are at most n of them, the
-    astray states are pairwise distinct, and (when any exist) some letter
-    prefixed to one of them already synchronizes.
+    `best` is the result of shortest_reset_word; its word s must reset to
+    its target, else DfaError.  Returns the suffixes, shortest first, and
+    the completion clause's failure detail, or None.  The clause asks for a
+    letter c and a suffix u found with c.u synchronizing.  As s is minimal,
+    c.s[j:] is too short to reset for j >= 2, so the clause holds exactly
+    when s[1:] is found if any suffix is.  suffix_distinctness_check
+    certifies that at most n are found, with distinct astray states.
     """
     s, cols = _suffix_columns(dfa, best.word, best.target)
-    full = dfa.full_set
-    found: list[Word] = []
-    astray: list[int] = []
-    for j in range(len(s), -1, -1):
-        odd = full & ~cols[j]
-        if odd.bit_count() == 1:
-            found.append(s[j:])
-            astray.append(odd.bit_length() - 1)
-    if len(found) > dfa.n:
-        return found, str((len(found), dfa.n))
-    if len(set(astray)) != len(astray):
-        return found, str(astray)
-    if found and not any(image(dfa, full, (c,) + u).bit_count() == 1
-                         for c in range(dfa.k) for u in found):
+    found = [s[j:] for j in range(len(s), -1, -1)
+             if cols[j].bit_count() == dfa.n - 1]
+    if found and len(found[-1]) != len(s) - 1:
         return found, "no letter completes a near-synchronizing suffix"
     return found, None
