@@ -321,5 +321,6 @@ def near_sync_suffixes(dfa: Dfa, best: ResetResult) -> tuple[list[Word], str | N
     found = [s[j:] for j in range(len(s), -1, -1)
              if cols[j].bit_count() == dfa.n - 1]
     if found and len(found[-1]) != len(s) - 1:
-        return found, "no letter completes a near-synchronizing suffix"
+        return found, ("no letter completes a near-synchronizing suffix: s[1:] has "
+                       f"value {cols[1].bit_count() - 1}, not n-2 = {dfa.n - 2}")
     return found, None

@@ -496,9 +496,11 @@ def test_claims_over_every_canonical_four_state_two_letter_class():
         assert found == want and (failure is None) == (fault is None), flat
         failed = [r for r in claim_checks(dfa, best) if not r.passed]
         if failed:
+            value = series.series_value(dfa, best.word[1:], best.target)
             assert [(r.name, r.detail) for r in failed] == [
                 ("near-sync-suffixes",
-                 "no letter completes a near-synchronizing suffix")]
+                 "no letter completes a near-synchronizing suffix: "
+                 f"s[1:] has value {value}, not n-2 = 2")]
             failures.append(flat)
     assert synchronizing == 2185
     assert failures == NEAR_SYNC_FAILURES

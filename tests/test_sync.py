@@ -428,7 +428,8 @@ def test_near_sync_completion_failure_is_returned():
     r = shortest_reset_word(d)
     assert r.word == word_from_str("aba")
     assert near_sync_suffixes(d, r) == (
-        [word_from_str("a")], "no letter completes a near-synchronizing suffix")
+        [word_from_str("a")], "no letter completes a near-synchronizing suffix: "
+                              "s[1:] has value 1, not n-2 = 2")
 
 
 def test_two_state_degenerate_case():
