@@ -199,7 +199,8 @@ def word_matrix_span(dfa: Dfa) -> tuple[RowEchelon, list[tuple[tuple[int, ...], 
     matrices that enlarge the span.  Once no product of a letter with a
     kept matrix adds dimension, the span is closed under every M_t and so
     contains every word matrix.  Returns the accumulator and the kept
-    (word, matrix) witnesses.
+    (word, matrix) witnesses.  A correct span keeps at most n(n-1)+1, so
+    saturation stops past n^2 kept: a broken echelon cannot loop forever.
     """
     n = dfa.n
     ech = RowEchelon(n * n)
@@ -210,7 +211,7 @@ def word_matrix_span(dfa: Dfa) -> tuple[RowEchelon, list[tuple[tuple[int, ...], 
     witnesses.append(((), E))
     frontier.append(((), E))
     letters = matrices_of_letters(dfa)
-    while frontier:
+    while frontier and len(witnesses) <= n * n:
         fresh = []
         for c, Mc in enumerate(letters):
             for w, g in frontier:

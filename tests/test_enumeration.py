@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -511,6 +514,30 @@ def test_verify_flags_unsynchronizable_automaton():
     results = verify_automaton(swap)
     assert [r.name for r in results] == ["synchronizing"]
     assert not results[0].passed
+
+
+BROKEN_ECHELON = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from syncword import cerny_automaton, linspace
+from syncword.enumeration import verify_automaton
+real = linspace.RowEchelon.add
+linspace.RowEchelon.add = lambda self, vec: real(self, vec) or True
+print(*[r.name for r in verify_automaton(cerny_automaton(4)) if not r.passed])
+"""
+
+
+def test_verify_ends_when_the_echelon_always_reports_growth():
+    # add inserts as usual but always returns True, so word_matrix_span
+    # never sees a round add nothing; it runs in a child process under a
+    # timeout and an address-space cap, so a regression cannot hang the suite
+    src = str(Path(enumeration.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", BROKEN_ECHELON],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "coefficient-sum", "letter-closure", "span-word-stability"]
 
 
 def test_verify_flags_a_dependent_basis(monkeypatch):
