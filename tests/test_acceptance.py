@@ -160,7 +160,7 @@ def test_criterion_7_minimal_word_structure():
         s, q = result.word, result.target
         assert is_irreducible(d, s, q)
         assert suffix_distinctness_check(d, s, q)
-        near, failure = near_sync_suffixes(d, result)  # count, rows, completion
+        near, failure = near_sync_suffixes(d, result)  # the completion clause
         assert failure is None
         assert len(near) <= d.n
 

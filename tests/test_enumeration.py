@@ -25,7 +25,8 @@ from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
                                   verify_automaton)
 
 from oracles import (all_pairs_reachable, dfa_to_flat, index_to_flat,
-                     near_sync_by_search, reference_scan, relabel_flat, strongly_connected_class_count)
+                     near_sync_by_search, reference_scan, relabel_flat,
+                     strongly_connected_class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +530,7 @@ print(*[r.name for r in verify_automaton(cerny_automaton(4)) if not r.passed])
 
 def test_verify_ends_when_the_echelon_always_reports_growth():
     # add inserts as usual but always returns True, so word_matrix_span
-    # never sees a round add nothing; it runs in a child process under a
+    # never sees a round that adds nothing; the child process runs under a
     # timeout and an address-space cap, so a regression cannot hang the suite
     src = str(Path(enumeration.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", BROKEN_ECHELON],
