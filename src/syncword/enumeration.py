@@ -209,29 +209,35 @@ def _canonical_map_fixers(n: int, k: int) -> dict[int, list[Relabeling]]:
     return out
 
 
-def _map_masks(n: int) -> tuple[list[int], list[int], list[int]]:
-    """Each one-letter map m, by value: its degree mask, and its forward
-    and reversed edge masks.
+def _map_masks(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Each one-letter map m, by value: its degree mask, its forward and
+    reversed edge masks, and its relation mask.
 
     The degree mask has bit p if m moves state p, and bit n + t if m sends
     another state to t.  In a strongly connected table with n >= 2 every
     state leaves for another and is entered from another, so the degree
     masks of its letters OR to all 2n bits.  The edge masks have bit
     p*n + m[p] and bit m[p]*n + p; ORed over the letters, they are the
-    table's adjacency as automaton._strongly_connected takes it.
+    table's adjacency as automaton._strongly_connected takes it.  The
+    relation mask keeps only the edges p -> t with t != p, as bit
+    p*(n-1) + (t if t < p else t-1), so n(n-1) bits in all.  Self-loops
+    never change strong connectivity, so tables whose letters OR to the
+    same relation mask share it.
     """
-    degrees, forward, backward = [], [], []
+    degrees, forward, backward, moves = [], [], [], []
     for m in product(range(n), repeat=n):
-        degree = fwd = bwd = 0
+        degree = fwd = bwd = move = 0
         for p, t in enumerate(m):
             if t != p:
                 degree |= 1 << p | 1 << n + t
+                move |= 1 << p * (n - 1) + (t if t < p else t - 1)
             fwd |= 1 << p * n + t
             bwd |= 1 << t * n + p
         degrees.append(degree)
         forward.append(fwd)
         backward.append(bwd)
-    return degrees, forward, backward
+        moves.append(move)
+    return degrees, forward, backward, moves
 
 
 def _fill_images(images: list[list[int]], flat: Sequence[int], n: int,
@@ -316,6 +322,11 @@ class ScanReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+# entries of _scan_chunk's verdict table; 0 is unknown
+_CONNECTED = 1
+_DISCONNECTED = 2
+
+
 def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
                 worker: int, workers: int) -> dict:
     """Scan the letter-map multisets whose rank is worker modulo workers.
@@ -323,9 +334,13 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
     One BFS per multiset, weighted by the number of tables it stands for.
     A strongly connected scan first rules out, by the degree masks of
     _map_masks, the multisets whose letters leave some state unmoved or
-    unentered, and tests the rest on their letters' edge masks ORed.  The
-    masks are built only for k >= 2, where n <= 5 under the enumeration
-    guard, so never for more than 3,125 maps.
+    unentered.  Of the rest, those of nonzero weight are looked up by
+    their letters' relation masks ORed in a verdict table of 2^(n(n-1))
+    bytes (unknown, connected or not); only on a miss are their edge masks
+    ORed and the reachability sweep run.  The masks and the verdict table
+    are built only for k >= 2, where n <= 5 under the enumeration guard,
+    so never for more than 3,125 maps or 1 MiB of verdicts.  They are
+    local to the call: workers share nothing.
     The maximal multisets are canonicalized once, after the maximum is
     known, and the violation lists hold each counted table.
     """
@@ -343,7 +358,8 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
     built = [-1] * (n * k)
     degrees = None
     if require_sc and k > 1 and n > 1:
-        degrees, forward, backward = _map_masks(n)
+        degrees, forward, backward, moves = _map_masks(n)
+        verdicts = bytearray(1 << n * (n - 1))
     all_degrees = (1 << 2 * n) - 1
     for values, flat in islice(_letter_multisets(n, k), worker, None, workers):
         if degrees is not None:
@@ -360,11 +376,18 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
         if not weight:
             continue
         if degrees is not None:
-            fwd = bwd = 0
+            relation = 0
             for v in values:
-                fwd |= forward[v]
-                bwd |= backward[v]
-            if not _strongly_connected(fwd, bwd, n):
+                relation |= moves[v]
+            verdict = verdicts[relation]
+            if not verdict:
+                fwd = bwd = 0
+                for v in values:
+                    fwd |= forward[v]
+                    bwd |= backward[v]
+                verdict = verdicts[relation] = (
+                    _CONNECTED if _strongly_connected(fwd, bwd, n) else _DISCONNECTED)
+            if verdict != _CONNECTED:
                 continue
         elif require_sc and not table_strongly_connected(flat, n):
             continue
@@ -566,7 +589,6 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
                             f"{dfa.k} letters exceed the cap {VERIFY_MAX_K}")
     expect = expect or {}
     results: list[CheckResult] = []
-    pool = _word_pool(dfa)
     n = dfa.n
 
     def check(check_name: str, passed: bool, detail: str = ""):
@@ -590,6 +612,9 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     cube = (n ** 3 - n) // 6
     check("upper-bound", best.length <= cube,
           f"length {best.length} vs bound {cube}")
+    # built only now: the search's subset cap fires first, and a table that
+    # does not synchronize needs no pool
+    pool = _word_pool(dfa)
 
     # each pool word's matrix and series value, built once.  Every per-word
     # check reads a word's matrix, or its matrix and its value, so it runs

@@ -314,6 +314,29 @@ def test_verify_rejects_nine_letters_before_any_work(tmp_path, capsys,
     assert searched == []
 
 
+@pytest.mark.parametrize("text, expected", [
+    # 25 states: past the default subset cap of 24
+    ("25 2\n" + " ".join(str((p + 1) % 25) for p in range(25)) + "\n"
+     + "1 " + " ".join(str(p) for p in range(1, 25)) + "\n", 3),
+    # two permutations: no reset word
+    ("3 2\n1 2 0\n1 0 2\n", 2),
+], ids=["past-subset-cap", "not-synchronizing"])
+def test_verify_builds_no_word_pool_before_the_search_succeeds(
+        tmp_path, capsys, monkeypatch, text, expected):
+    pools = []
+    real = syncword.enumeration._word_pool
+    monkeypatch.setattr(syncword.enumeration, "_word_pool",
+                        lambda dfa: pools.append(dfa) or real(dfa))
+    path = tmp_path / "auto.dfa"
+    path.write_text(text)
+    code, _, _ = run(capsys, "verify", str(path))
+    assert code == expected
+    assert pools == []
+    # a synchronizing table does build it
+    assert run(capsys, "verify", "cerny:3")[0] == 0
+    assert len(pools) == 1
+
+
 @st.composite
 def small_tables(draw):
     n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))

@@ -162,12 +162,15 @@ def test_scan_three_states_histogram_and_witnesses():
 def test_scan_deterministic_across_workers_and_runs(monkeypatch):
     # eight CPUs, so that eight children really run
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    for n, k, canon in ((3, 2, False), (3, 3, True)):
-        cfg = ScanConfig(n, k, canonicalize=canon)
+    # the strongly connected cases fill one verdict table per worker
+    for n, k, sc, canon in ((3, 2, False, False), (3, 3, False, True),
+                            (3, 3, True, False), (3, 3, True, True)):
+        cfg = ScanConfig(n, k, require_strongly_connected=sc, canonicalize=canon)
         base = extremal_scan(cfg).to_json()
         assert extremal_scan(cfg).to_json() == base
         for workers in (2, 5, 8):
-            cfg = ScanConfig(n, k, worker_count=workers, canonicalize=canon)
+            cfg = ScanConfig(n, k, require_strongly_connected=sc,
+                             worker_count=workers, canonicalize=canon)
             assert extremal_scan(cfg).to_json() == base
 
 
@@ -304,7 +307,8 @@ def test_witnesses_are_canonicalized_once_per_counted_table(monkeypatch):
 
 def test_strongly_connected_scan_rules_out_multisets_by_degree_masks(monkeypatch):
     # of the 32,896 multisets of two 4-state maps, 11,685 move and enter
-    # every state; 10,482 of those are strongly connected
+    # every state; they have 702 distinct relation masks, one sweep each,
+    # and 651 of those relations are strongly connected
     real = enumeration._strongly_connected
     calls = []
 
@@ -315,33 +319,46 @@ def test_strongly_connected_scan_rules_out_multisets_by_degree_masks(monkeypatch
     monkeypatch.setattr(enumeration, "_strongly_connected", counting)
     report = extremal_scan(ScanConfig(4, 2, require_strongly_connected=True))
     assert report.total == 20958
-    assert len(calls) == 11685
-    assert sum(real(*call) for call in calls) == 10482
+    assert len(calls) == 702
+    assert sum(real(*call) for call in calls) == 651
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_map_edge_masks_ored_decide_strong_connectivity(n):
-    # every multiset of two n-state maps, against a separate search
-    degrees, forward, backward = _map_masks(n)
-    for values, flat in _letter_multisets(n, 2):
-        fwd = forward[values[0]] | forward[values[1]]
-        bwd = backward[values[0]] | backward[values[1]]
-        expected = all_pairs_reachable(flat_to_dfa(flat, n, 2))
-        assert enumeration._strongly_connected(fwd, bwd, n) == expected
-        if expected:
-            assert degrees[values[0]] | degrees[values[1]] == (1 << 2 * n) - 1
+    # every multiset of two and of three n-state maps, against a separate
+    # search; the relation masks OR to one verdict per value, inside the
+    # 2^(n(n-1)) entries of the scan's verdict table
+    degrees, forward, backward, moves = _map_masks(n)
+    for k in (2, 3):
+        verdicts = {}
+        for values, flat in _letter_multisets(n, k):
+            fwd = bwd = seen = relation = 0
+            for v in values:
+                fwd |= forward[v]
+                bwd |= backward[v]
+                seen |= degrees[v]
+                relation |= moves[v]
+            expected = all_pairs_reachable(flat_to_dfa(flat, n, k))
+            assert enumeration._strongly_connected(fwd, bwd, n) == expected
+            if expected:
+                assert seen == (1 << 2 * n) - 1
+            assert relation >> n * (n - 1) == 0
+            assert verdicts.setdefault(relation, expected) == expected
 
 
 def test_scan_holds_no_list_of_all_letter_maps():
-    # 6^6 = 46,656 one-letter tables
-    tracemalloc.start()
-    try:
-        report = extremal_scan(ScanConfig(6, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.total == 6 ** 6
-    assert peak < 1 << 20
+    # 6^6 = 46,656 one-letter tables, of which the 5! = 120 six-cycles are
+    # strongly connected; with one letter no masks and no verdict table
+    # (2^30 bytes at n = 6) are built
+    for require_sc, total in ((False, 6 ** 6), (True, 120)):
+        tracemalloc.start()
+        try:
+            report = extremal_scan(ScanConfig(6, 1, require_strongly_connected=require_sc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.total == total
+        assert peak < 1 << 20
 
 
 def test_scan_canonical_counts_classes_once():
