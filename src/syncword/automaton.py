@@ -120,6 +120,19 @@ def image(dfa: Dfa, P: int, w: Sequence[int]) -> int:
     return out
 
 
+def _image_table(targets: Sequence[int]) -> list[int]:
+    """Subset-image table: entry b is the bitmask {targets[i] : bit i of b set}.
+
+    Built by doubling, each target ORed into a copy of the table so far;
+    no targets give [0].
+    """
+    table = [0]
+    for t in targets:
+        bit = 1 << t
+        table += [s | bit for s in table]
+    return table
+
+
 def _strongly_connected(forward: int, backward: int, n: int) -> bool:
     """Strong connectivity from edge masks: forward has bit p*n + t for
     each edge p -> t, and backward the same edges reversed, bit t*n + p.

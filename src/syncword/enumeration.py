@@ -17,13 +17,14 @@ import os
 import random
 from collections import deque
 from functools import cache
-from itertools import islice, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 from math import comb
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from . import linspace, series, sync
 from .automaton import (Dfa, Word, image, KARI_WORD, ROMAN_WORD, suffix_maps,
-                        table_strongly_connected, word_to_str, _strongly_connected)
+                        table_strongly_connected, word_to_str, _image_table,
+                        _strongly_connected)
 from .errors import CapacityError, DfaError
 from .word_matrix import (WordMatrix, dense, matrix_of_word, matrices_of_letters,
                           multiply, nonzero_columns, rank)
@@ -122,35 +123,30 @@ def _is_canonical(flat: Sequence[int], relabelings: Sequence[Relabeling]) -> boo
     return True
 
 
-def _letter_multisets(n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Each multiset of k letter maps once, as (values, flat).
+def _multiset_walk(n: int, k: int) -> tuple[Iterator[tuple[int, ...]],
+                                            Callable[[int], Sequence[int]]]:
+    """Each multiset of k letter maps once, and the map of a value.
 
-    values holds the maps as base-n numerals in [0, n^n), non-decreasing,
-    and flat is the table with those maps as its letters, in that order.
-    Both lists are updated in place and yielded each time; only the k
-    current maps are held, never a list of all n^n.
+    A multiset is a non-decreasing tuple of map values, base-n numerals in
+    [0, n^n), and the multisets come in lexicographic order.  For k >= 2,
+    n <= 5 under the enumeration guard, so the maps are read from a list
+    of at most 3,125.  For k = 1 each value is decoded instead: n^n maps
+    may not fit in memory, and combinations_with_replacement copies its
+    whole pool.
     """
-    top = n ** n - 1
-    values = [0] * k
-    flat = [0] * (n * k)
-    while True:
-        yield values, flat
-        c = k - 1
-        while c >= 0 and values[c] == top:
-            c -= 1
-        if c < 0:
-            return
-        values[c] += 1
-        pos = (c + 1) * n - 1
-        while flat[pos] == n - 1:
-            flat[pos] = 0
-            pos -= 1
-        flat[pos] += 1
-        if c < k - 1:
-            block = flat[c * n:(c + 1) * n]
-            for j in range(c + 1, k):
-                values[j] = values[c]
-                flat[j * n:(j + 1) * n] = block
+    if k > 1:
+        return (combinations_with_replacement(range(n ** n), k),
+                list(product(range(n), repeat=n)).__getitem__)
+
+    def letter_map(value: int) -> list[int]:
+        m = []
+        for _ in range(n):
+            value, t = divmod(value, n)
+            m.append(t)
+        m.reverse()
+        return m
+
+    return zip(range(n ** n)), letter_map
 
 
 def _arrangement_count(values: Sequence[int]) -> int:
@@ -162,18 +158,19 @@ def _arrangement_count(values: Sequence[int]) -> int:
     return count
 
 
-def _counted_tables(values: Sequence[int], flat: Sequence[int], n: int,
+def _counted_tables(values: Sequence[int], letter_map: Callable[[int], Sequence[int]],
                     fixers: dict[int, list[Relabeling]] | None) -> Iterator[list[int]]:
     """The tables a multiset stands for, in index order.
 
-    values and flat are as _letter_multisets yields them.  The tables are
-    the distinct letter orders of flat; in a canonical scan (fixers given)
-    only those that pass _is_canonical.  Relabeling acts on each letter's
-    map alone, so a canonical table starts with a canonical one-letter
-    table, and only the relabelings that fix that first map can make the
-    table smaller: fixers maps each canonical map to those relabelings.
+    values and letter_map are as _multiset_walk gives them.  The tables are
+    the distinct letter orders of the multiset's maps; in a canonical scan
+    (fixers given) only those that pass _is_canonical.  Relabeling acts on
+    each letter's map alone, so a canonical table starts with a canonical
+    one-letter table, and only the relabelings that fix that first map can
+    make the table smaller: fixers maps each canonical map to those
+    relabelings.
     """
-    blocks = {v: flat[c * n:(c + 1) * n] for c, v in enumerate(values)}
+    blocks = {v: letter_map(v) for v in values}
     order = list(values)
     k = len(order)
     while True:
@@ -238,29 +235,6 @@ def _map_masks(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
         backward.append(bwd)
         moves.append(move)
     return degrees, forward, backward, moves
-
-
-def _fill_images(images: list[list[int]], flat: Sequence[int], n: int,
-                 built: list[int]) -> None:
-    """Bring the per-letter subset-image rows up to date with a flat table.
-
-    built is the table the rows were last built from (-1 entries for rows
-    never built), and is updated.  The subsets whose top state is p are
-    those below 1 << p with p added, so each row is rebuilt only from its
-    first changed state on; row entry 0 stays 0.
-    """
-    for c, t in enumerate(images):
-        base = c * n
-        if flat[base:base + n] == built[base:base + n]:
-            continue
-        first = 0
-        while flat[base + first] == built[base + first]:
-            first += 1
-        for p in range(first, n):
-            image_p = 1 << flat[base + p]
-            bit = 1 << p
-            t[bit:2 * bit] = [s | image_p for s in t[:bit]]
-        built[base + first:base + n] = flat[base + first:base + n]
 
 
 def _reset_length(images: list[list[int]], n: int) -> int | None:
@@ -331,7 +305,8 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
                 worker: int, workers: int) -> dict:
     """Scan the letter-map multisets whose rank is worker modulo workers.
 
-    One BFS per multiset, weighted by the number of tables it stands for.
+    One BFS per multiset, weighted by the number of tables it stands for;
+    a letter's image row is rebuilt only when its map value changes.
     A strongly connected scan first rules out, by the degree masks of
     _map_masks, the multisets whose letters leave some state unmoved or
     unentered.  Of the rest, those of nonzero weight are looked up by
@@ -351,17 +326,19 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
     total = 0
     max_len = 0
     max_count = 0
-    maximal: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    maximal: list[tuple[int, ...]] = []
     too_long: list[tuple[int, ...]] = []
     beyond_conjecture: list[tuple[int, ...]] = []
-    images = [[0] * (1 << n) for _ in range(k)]
-    built = [-1] * (n * k)
+    multisets, letter_map = _multiset_walk(n, k)
+    # images[c] is the image table of built[c], the value of letter c's map
+    images: list[list[int]] = [[]] * k
+    built = [-1] * k
     degrees = None
     if require_sc and k > 1 and n > 1:
         degrees, forward, backward, moves = _map_masks(n)
         verdicts = bytearray(1 << n * (n - 1))
     all_degrees = (1 << 2 * n) - 1
-    for values, flat in islice(_letter_multisets(n, k), worker, None, workers):
+    for values in islice(multisets, worker, None, workers):
         if degrees is not None:
             seen = 0
             for v in values:
@@ -370,7 +347,7 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
                 continue
         if fixers is not None:
             weight = (0 if fixers.keys().isdisjoint(values) else
-                      sum(1 for _ in _counted_tables(values, flat, n, fixers)))
+                      sum(1 for _ in _counted_tables(values, letter_map, fixers)))
         else:
             weight = _arrangement_count(values)
         if not weight:
@@ -389,10 +366,14 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
                     _CONNECTED if _strongly_connected(fwd, bwd, n) else _DISCONNECTED)
             if verdict != _CONNECTED:
                 continue
-        elif require_sc and not table_strongly_connected(flat, n):
+        elif require_sc and not table_strongly_connected(
+                [t for v in values for t in letter_map(v)], n):
             continue
         total += weight
-        _fill_images(images, flat, n, built)
+        for c, v in enumerate(values):
+            if built[c] != v:
+                built[c] = v
+                images[c] = _image_table(letter_map(v))
         length = _reset_length(images, n)
         if length is None:
             continue
@@ -401,14 +382,14 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
             max_len, max_count, maximal = length, 0, []
         if length == max_len:
             max_count += weight
-            maximal.append((tuple(values), tuple(flat)))
+            maximal.append(values)
         if length > cerny_bound:  # the cube bound is never below it
-            tables = [tuple(t) for t in _counted_tables(values, flat, n, fixers)]
+            tables = [tuple(t) for t in _counted_tables(values, letter_map, fixers)]
             beyond_conjecture += tables
             if length > cube:
                 too_long += tables
-    witnesses = {canonical_flat(t, n, k) for values, flat in maximal
-                 for t in _counted_tables(values, flat, n, fixers)}
+    witnesses = {canonical_flat(t, n, k) for values in maximal
+                 for t in _counted_tables(values, letter_map, fixers)}
     return {
         "total": total,
         "histogram": hist,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .automaton import Dfa, Word, image, suffix_maps
+from .automaton import Dfa, Word, image, suffix_maps, _image_table
 from .errors import CapacityError, DfaError
 from .word_matrix import WordMatrix, multiply
 
@@ -73,20 +73,14 @@ def is_synchronizing(dfa: Dfa) -> bool:
     return len(queue) == n * (n - 1) // 2
 
 
-def _chunk_tables(row: Sequence[int], n: int, width: int) -> tuple[list[int], ...]:
+def _chunk_tables(row: Sequence[int], width: int) -> tuple[list[int], ...]:
     """Image tables of one letter over three chunks of `width` states.
 
     Entry b of table j is the image of the states
     {j*width + i : bit i of b set}; a chunk past state n-1 gets the table [0].
     """
-    tables = []
-    for base in range(0, 3 * width, width):
-        table = [0]
-        for p in range(base, min(base + width, n)):
-            bit = 1 << row[p]
-            table += [t | bit for t in table]
-        tables.append(table)
-    return tuple(tables)
+    return tuple(_image_table(row[base:base + width])
+                 for base in range(0, 3 * width, width))
 
 
 def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
@@ -130,7 +124,7 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     k = dfa.k
     width = max(8, -(-n // 3))
     low, high = (1 << width) - 1, 2 * width
-    letters = [_chunk_tables(row, n, width) for row in dfa.delta]
+    letters = [_chunk_tables(row, width) for row in dfa.delta]
     # codes parent_index * k + letter stay below 2^n * k
     code_type = "i" if (full + 1) * k < 1 << 31 else "q"
     seen: set[int] | None = {full}

@@ -10,7 +10,7 @@ from itertools import permutations, product
 from math import gcd
 
 from syncword import Dfa, DfaError, ScanConfig, ScanReport, image
-from syncword import enumeration
+from syncword import automaton, enumeration
 from syncword.enumeration import canonical_flat, flat_to_dfa
 from syncword.sync import _suffix_columns
 
@@ -216,15 +216,14 @@ def reference_scan(cfg: ScanConfig) -> ScanReport:
 
     Tables come in index order, as a base-n odometer over the flat table,
     so the violation lists need no sorting.  The filters are equality with
-    canonical_flat and all_pairs_reachable.  The reset length comes from
-    the scanner's kernel, looked up at call time so that a test can patch
-    it, with every image row rebuilt for each table.
+    canonical_flat and all_pairs_reachable.  Every image row is built from
+    the table itself, and the reset length comes from the scanner's BFS,
+    looked up at call time so that a test can patch it.
     """
     n, k = cfg.n, cfg.k
     cube = (n ** 3 - n) // 6
     report = ScanReport(n, k, cfg.require_strongly_connected, cfg.canonicalize)
     witnesses = set()
-    images = [[0] * (1 << n) for _ in range(k)]
     for flat in product(range(n), repeat=n * k):
         if cfg.canonicalize and flat != canonical_flat(flat, n, k):
             continue
@@ -232,7 +231,7 @@ def reference_scan(cfg: ScanConfig) -> ScanReport:
                 and not all_pairs_reachable(flat_to_dfa(flat, n, k))):
             continue
         report.total += 1
-        enumeration._fill_images(images, flat, n, [-1] * (n * k))
+        images = [automaton._image_table(flat[c * n:(c + 1) * n]) for c in range(k)]
         length = enumeration._reset_length(images, n)
         if length is None:
             continue

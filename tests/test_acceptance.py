@@ -199,7 +199,8 @@ def test_criterion_9_scans():
                "synchronizing, max length 16 on 2 classes, cerny:5 among them")
 def test_criterion_10_declared_substitution():
     # the canonical scan, one table per relabeling class on 2 workers,
-    # stands in for the raw scan of all 5^10 tables, about nine times slower
+    # stands in for the raw scan of all 5^10 tables, about twelve times
+    # slower (22 s against 1.8 s on 2 workers of a 2-CPU x86-64 host)
     report = extremal_scan(ScanConfig(5, 2, worker_count=2, canonicalize=True))
     assert (report.total, report.synchronizing) == (83061, 68227)
     assert (report.max_length, report.max_length_count) == (16, 2)

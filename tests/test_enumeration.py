@@ -19,8 +19,8 @@ from syncword import (automaton, cli, enumeration, linspace, series, sync,
                       word_matrix)
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
                                   _canonical_map_fixers, _counted_tables,
-                                  _is_canonical, _letter_multisets,
-                                  _map_masks, _relabelings, _word_pool,
+                                  _is_canonical, _map_masks, _multiset_walk,
+                                  _relabelings, _word_pool,
                                   canonical_flat, claim_checks, flat_to_dfa,
                                   verify_automaton)
 
@@ -107,8 +107,9 @@ def test_canonical_enumeration_matches_canonical_flat(n, k):
     tables = (tuple(index_to_flat(i, n, k)) for i in range(n ** (n * k)))
     expected = [t for t in tables if t == canonical_flat(t, n, k)]
     fixers = _canonical_map_fixers(n, k)
-    got = sorted(tuple(t) for values, flat in _letter_multisets(n, k)
-                 for t in _counted_tables(values, flat, n, fixers))
+    multisets, letter_map = _multiset_walk(n, k)
+    got = sorted(tuple(t) for values in multisets
+                 for t in _counted_tables(values, letter_map, fixers))
     assert got == expected
 
 
@@ -238,15 +239,30 @@ def test_failed_fork_kills_and_reaps_the_running_children(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_letter_multisets_are_each_multiset_once():
-    for n, k in ((1, 3), (2, 3), (3, 2)):
-        seen = [(tuple(values), tuple(flat))
-                for values, flat in _letter_multisets(n, k)]
-        assert len(seen) == len(set(seen)) == comb(n ** n + k - 1, k)
-        for values, flat in seen:
-            assert list(values) == sorted(values)
-            assert [index_to_flat(v, n, 1) for v in values] == [
-                list(flat[c * n:(c + 1) * n]) for c in range(k)]
+def test_multiset_walk_maps_each_value_to_its_table_index():
+    # the k = 1 walk decodes a value, the k >= 2 walk reads it from a list
+    # of every map; the canonical map fixers are keyed in the same order
+    for n in (1, 2, 3, 4):
+        singles, decode = _multiset_walk(n, 1)
+        pairs, lookup = _multiset_walk(n, 2)
+        assert list(singles) == [(v,) for v in range(n ** n)]
+        for v in range(n ** n):
+            assert list(decode(v)) == list(lookup(v)) == index_to_flat(v, n, 1)
+        pairs = list(pairs)
+        assert pairs == sorted(set(pairs))
+        assert len(pairs) == comb(n ** n + 1, 2)
+        assert all(a <= b for a, b in pairs)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+def test_image_table_is_the_image_of_each_subset(targets):
+    n = len(targets)
+    dfa = Dfa(n, 1, [targets])
+    table = automaton._image_table(targets)
+    assert table == [automaton.image(dfa, b, (0,)) for b in range(1 << n)]
+    assert automaton._image_table([]) == [0]
 
 
 # every n <= 3 with k <= 3, and the widest two-state alphabets in the range
@@ -331,13 +347,15 @@ def test_map_edge_masks_ored_decide_strong_connectivity(n):
     degrees, forward, backward, moves = _map_masks(n)
     for k in (2, 3):
         verdicts = {}
-        for values, flat in _letter_multisets(n, k):
+        multisets, letter_map = _multiset_walk(n, k)
+        for values in multisets:
             fwd = bwd = seen = relation = 0
             for v in values:
                 fwd |= forward[v]
                 bwd |= backward[v]
                 seen |= degrees[v]
                 relation |= moves[v]
+            flat = [t for v in values for t in letter_map(v)]
             expected = all_pairs_reachable(flat_to_dfa(flat, n, k))
             assert enumeration._strongly_connected(fwd, bwd, n) == expected
             if expected:
