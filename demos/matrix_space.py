@@ -37,7 +37,7 @@ flats = [flatten(g) for _, g in witnesses]
 for word in [(0, 1), (1, 1, 0), (0, 0, 1, 0, 1)]:
     d = decompose(flatten(matrix_of_word(dfa, word)), flats)
     print(f"decomposition of M_{word_to_str(word)}: "
-          f"{len(d.coefficients)} terms, coefficient sum {coefficient_sum(d)}")
+          f"{len(d)} terms, coefficient sum {coefficient_sum(d)}")
 
 # The witness family is closed under prefixing letters, which is exactly
 # why it spans every word matrix.

@@ -16,9 +16,9 @@ from .automaton import (Dfa, KARI_WORD, ROMAN_WORD, builtin_automaton,
 from .errors import CapacityError, DfaError
 from .word_matrix import (WordMatrix, identity, matrix_of_word, multiply,
                           nonzero_columns, rank, render)
-from .linspace import (Decomposition, RowEchelon, coefficient_sum, decompose,
-                       flatten, letter_closure_check, span_dimension,
-                       standard_basis, word_matrix_span)
+from .linspace import (RowEchelon, coefficient_sum, decompose, flatten,
+                       letter_closure_check, span_dimension, standard_basis,
+                       word_matrix_span)
 from .series import suffix_profile, suffix_space_dimensions, threshold_count
 from .sync import ResetResult, is_irreducible, shortest_reset_word
 from .enumeration import ScanConfig, ScanReport, extremal_scan

@@ -198,7 +198,6 @@ def cmd_scan(args) -> int:
         require_strongly_connected=args.strongly_connected,
         worker_count=args.workers,
         canonicalize=args.canonical)
-    cfg.check_guard()
     if args.out:
         _emit("", args.out)  # an unwritable path fails before the scan
     report = enumeration.extremal_scan(cfg)
@@ -305,6 +304,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        print("capacity error: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
 
 

@@ -37,7 +37,8 @@ VERIFY_MAX_K = 8
 
 
 class ScanConfig:
-    """Parameters of an exhaustive scan over all n-state, k-letter tables."""
+    """Parameters of an exhaustive scan over all n-state, k-letter tables;
+    building one runs the capacity guard, so every config is small enough."""
 
     __slots__ = ("n", "k", "require_strongly_connected", "worker_count",
                  "canonicalize")
@@ -50,22 +51,25 @@ class ScanConfig:
             raise DfaError(f"n and k must be positive integers, got {n!r} {k!r}")
         if type(worker_count) is not int or worker_count < 1:
             raise DfaError(f"worker_count must be a positive integer, got {worker_count!r}")
+        # a truthy int or str would scan, but be echoed as is in the report
+        if (type(require_strongly_connected) is not bool
+                or type(canonicalize) is not bool):
+            raise DfaError("require_strongly_connected and canonicalize must be "
+                           f"bool, got {require_strongly_connected!r} {canonicalize!r}")
+        nk = n * k
+        # from this exponent on, n > 1 gives n^nk >= 2^nk tables, and n = 1
+        # one table whose scan still costs O(k); the power is never built
+        if nk >= ENUMERATION_GUARD.bit_length() or n ** nk > ENUMERATION_GUARD:
+            raise CapacityError(f"{n}^{nk} tables: the enumeration guard needs "
+                                f"n*k < 30 and at most {ENUMERATION_GUARD} tables")
+        if canonicalize and n > CANONICAL_MAX_N:
+            raise CapacityError(
+                f"canonicalization is O(n!) per table; capped at n <= {CANONICAL_MAX_N}")
         self.n = n
         self.k = k
         self.require_strongly_connected = require_strongly_connected
         self.worker_count = worker_count
         self.canonicalize = canonicalize
-
-    def check_guard(self):
-        nk = self.n * self.k
-        # from this exponent on, n > 1 gives n^nk >= 2^nk tables, and n = 1
-        # one table whose scan still costs O(k); the power is never built
-        if nk >= ENUMERATION_GUARD.bit_length() or self.n ** nk > ENUMERATION_GUARD:
-            raise CapacityError(f"{self.n}^{nk} tables: the enumeration guard needs "
-                                f"n*k < 30 and at most {ENUMERATION_GUARD} tables")
-        if self.canonicalize and self.n > CANONICAL_MAX_N:
-            raise CapacityError(
-                f"canonicalization is O(n!) per table; capped at n <= {CANONICAL_MAX_N}")
 
 
 def flat_to_dfa(flat: Sequence[int], n: int, k: int) -> Dfa:
@@ -468,7 +472,6 @@ def extremal_scan(cfg: ScanConfig) -> ScanReport:
     which is table-index order.  At most os.cpu_count() workers are forked,
     and no more than there are multisets.
     """
-    cfg.check_guard()
     n, k = cfg.n, cfg.k
     workers = min(cfg.worker_count, comb(n ** n + k - 1, k), os.cpu_count() or 1)
     tasks = [(n, k, cfg.require_strongly_connected, cfg.canonicalize, i, workers)

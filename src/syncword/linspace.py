@@ -127,31 +127,16 @@ def standard_basis(n: int, k: int) -> list[FlatMatrix]:
     return basis
 
 
-class Decomposition:
-    """Exact coefficients over a basis list; omitted indices mean zero."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[tuple[int, Fraction], ...]):
-        self.coefficients = coefficients
-
-    def __eq__(self, other):
-        return (self.coefficients == other.coefficients
-                if type(other) is Decomposition else NotImplemented)
-
-    def __repr__(self):
-        return f"Decomposition(coefficients={self.coefficients!r})"
-
-
-def decompose(target: Sequence, basis: Sequence[Sequence]) -> Decomposition | None:
+def decompose(target: Sequence, basis: Sequence[Sequence]) -> dict[int, Fraction] | None:
     """Express target as an exact linear combination of the basis list.
 
     Each basis vector enters a RowEchelon as [vector | unit combination],
     with pivots only in the vector part, so every stored row carries its
     expression in the list and reducing [target | 0] leaves
-    [0 | -coefficients].  Returns None when target is outside the span;
-    the result is the deterministic greedy-elimination solution, and when
-    the basis list is independent it is the unique one.
+    [0 | -coefficients].  Returns {basis index: coefficient}, holding only
+    the nonzero coefficients in index order, or None when target is outside
+    the span; the result is the deterministic greedy-elimination solution,
+    and when the basis list is independent it is the unique one.
     """
     size = len(basis)
     ech = RowEchelon(len(target), tail=size)
@@ -162,14 +147,13 @@ def decompose(target: Sequence, basis: Sequence[Sequence]) -> Decomposition | No
     res = ech.residual(list(target) + [0] * size)
     if any(res[:ech.width]):
         return None
-    return Decomposition(tuple((i, -lam) for i, lam
-                               in enumerate(res[ech.width:]) if lam))
+    return {i: -lam for i, lam in enumerate(res[ech.width:]) if lam}
 
 
-def coefficient_sum(d: Decomposition) -> Fraction:
+def coefficient_sum(d: dict[int, Fraction]) -> Fraction:
     """Sum of the coefficients; equals 1 for any representation of a word matrix
     over word matrices (every such matrix has total cell sum n)."""
-    return sum((lam for _, lam in d.coefficients), _fraction(0))
+    return sum(d.values(), _fraction(0))
 
 
 def letter_closure_check(

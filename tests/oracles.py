@@ -42,10 +42,11 @@ def dfa_to_flat(dfa: Dfa) -> tuple[int, ...]:
 
 
 def combine(basis, d) -> tuple:
-    """Re-sum a Decomposition over its basis list, exactly."""
+    """Re-sum a {basis index: coefficient} decomposition over its basis
+    list, exactly."""
     width = len(basis[0]) if basis else 0
     out = [0] * width
-    for i, lam in d.coefficients:
+    for i, lam in d.items():
         for j in range(width):
             out[j] += lam * Fraction(basis[i][j])
     return tuple(out)

@@ -185,6 +185,26 @@ def test_reset_word_env_capacity(monkeypatch, capsys):
     assert "capacity" in err
 
 
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from syncword.cli import entry
+entry()
+"""
+
+
+def test_input_too_large_to_build_exits_3():
+    # cerny:N builds two rows of N entries before the state cap is checked;
+    # the child runs under a timeout and a 1 GiB address-space cap
+    src = str(Path(syncword.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "reset-word", "cerny:300000000"],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "capacity error: out of memory\n"
+
+
 def test_reset_word_reads_json_file(tmp_path, capsys):
     d = Dfa(2, 2, ((1, 1), (0, 1)))
     path = tmp_path / "auto.json"

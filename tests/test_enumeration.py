@@ -120,21 +120,25 @@ def test_enumerate_strongly_connected_canonical_matches_oracle():
 
 @pytest.mark.parametrize("args", [(2.0, 2), (2, 2.0), ("3", 2), (True, 2), (2, True),
                                   (0, 2), (2, 0), (2, 2, False, 1.5),
-                                  (2, 2, False, True), (2, 2, False, 0)])
+                                  (2, 2, False, True), (2, 2, False, 0),
+                                  (2, 2, 1), (2, 2, False, 1, "yes"),
+                                  (2, 2, None), (2, 2, False, 1, 0)])
 def test_scan_config_rejects_what_is_not_a_positive_int(args):
-    # a float or a str used to fail inside the scan, and True to scan n = 1
+    # a float or a str used to fail inside the scan, True to scan n = 1, and
+    # a filter that is not a bool to be echoed as is in the report
     with pytest.raises(DfaError):
         ScanConfig(*args)
 
 
 def test_guard_rejects_oversized_spaces():
     # n = 1 has one table, but scanning it still costs O(k)
-    ScanConfig(1, 29).check_guard()
-    for cfg in (ScanConfig(7, 3), ScanConfig(1, 30), ScanConfig(1, 10 ** 9)):
-        with pytest.raises(CapacityError):
-            cfg.check_guard()
-    with pytest.raises(CapacityError):
-        extremal_scan(ScanConfig(6, 2, canonicalize=True))
+    ScanConfig(1, 29)
+    for args in ((7, 3), (1, 30), (1, 10 ** 9), (6, 2, False, 1, True)):
+        with pytest.raises(CapacityError, match="the enumeration guard needs"):
+            ScanConfig(*args)
+    # 6^6 tables pass the table count, not the canonicalization cap
+    with pytest.raises(CapacityError, match="capped at n <= 5"):
+        ScanConfig(6, 1, canonicalize=True)
 
 
 # ---------------------------------------------------------------------------

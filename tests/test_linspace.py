@@ -4,11 +4,10 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from syncword import (DfaError, Decomposition, RowEchelon, WordMatrix,
-                      cerny_automaton, coefficient_sum, decompose, flatten,
-                      identity, kari_automaton, letter_closure_check,
-                      matrix_of_word, span_dimension, standard_basis,
-                      word_matrix_span)
+from syncword import (DfaError, RowEchelon, WordMatrix, cerny_automaton,
+                      coefficient_sum, decompose, flatten, identity,
+                      kari_automaton, letter_closure_check, matrix_of_word,
+                      span_dimension, standard_basis, word_matrix_span)
 
 from oracles import combine, int_flat, int_rank
 
@@ -26,8 +25,8 @@ def test_flatten():
 
 def test_solve_divides_integer_vectors_into_exact_fractions():
     d = decompose((1, 1), [(3, 1), (0, 7)])
-    assert d.coefficients == ((0, Fraction(1, 3)), (1, Fraction(2, 21)))
-    assert all(type(lam) is Fraction for _, lam in d.coefficients)
+    assert list(d.items()) == [(0, Fraction(1, 3)), (1, Fraction(2, 21))]
+    assert all(type(lam) is Fraction for lam in d.values())
 
 
 def test_row_echelon_stores_no_float():
@@ -40,9 +39,9 @@ def test_row_echelon_stores_no_float():
 
 def test_float_inputs_are_read_exactly():
     d = decompose((0.5, 0.25), [(1, 0), (0, 1)])
-    assert d.coefficients == ((0, Fraction(1, 2)), (1, Fraction(1, 4)))
-    assert all(type(lam) is Fraction for _, lam in d.coefficients)
-    third = Decomposition(((0, Fraction(1, 3)),))
+    assert list(d.items()) == [(0, Fraction(1, 2)), (1, Fraction(1, 4))]
+    assert all(type(lam) is Fraction for lam in d.values())
+    third = {0: Fraction(1, 3)}
     assert combine([(0.5, 0.25)], third) == (Fraction(1, 6), Fraction(1, 12))
 
 
@@ -115,7 +114,7 @@ def test_decompose_trivial():
     b = standard_basis(3, 2)
     d = decompose(b[0], b)
     assert d is not None
-    assert d.coefficients == ((0, Fraction(1)),)
+    assert list(d.items()) == [(0, Fraction(1))]
 
 
 def test_decompose_matches_unit_and_residual_pattern():
@@ -133,7 +132,7 @@ def test_decompose_matches_unit_and_residual_pattern():
     expected = {j * n + i: Fraction(1) for i, j in matched}
     if m != 1:
         expected[len(basis) - 1] = Fraction(-(m - 1))
-    assert dict(d.coefficients) == expected
+    assert d == expected
     assert combine(basis, d) == target
 
 
@@ -142,7 +141,7 @@ def test_decompose_outside_span():
     stray = [Fraction(0)] * 9
     stray[1] = Fraction(2)  # lone doubled unit breaks the equal-row-sum law
     assert decompose(tuple(stray), b) is None
-    assert decompose([Fraction(0)] * 9, []) == Decomposition(())
+    assert decompose([Fraction(0)] * 9, []) == {}
     assert decompose(tuple(stray), []) is None
 
 
@@ -153,7 +152,7 @@ def test_coefficient_sum_values():
     target = flatten(matrix_of_word(d, (1, 0, 0, 1)))
     dec = decompose(target, flats)
     assert coefficient_sum(dec) == 1
-    assert coefficient_sum(Decomposition(())) == 0
+    assert coefficient_sum({}) == 0
     doubled = decompose([2 * x for x in target], flats)
     assert coefficient_sum(doubled) == 2
 
@@ -217,7 +216,7 @@ def test_span_solver_returns_the_coefficients_of_an_independent_list(case):
     target = [sum(c * v[j] for c, v in zip(coeffs, vecs))
               for j in range(len(vecs[0]))]
     d = decompose(target, vecs)
-    assert d.coefficients == tuple((i, c) for i, c in enumerate(coeffs) if c)
+    assert list(d.items()) == [(i, c) for i, c in enumerate(coeffs) if c]
 
 
 @given(small_vector_lists, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
