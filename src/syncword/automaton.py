@@ -255,6 +255,14 @@ def roman_automaton() -> Dfa:
 ROMAN_WORD: Word = word_from_str("abcacac bcaac abca")
 
 
+def _cerny_states(name: str) -> int:
+    """The state count n of a built-in name 'cerny:<n>'."""
+    try:
+        return int(name.split(":", 1)[1])
+    except ValueError:
+        raise DfaError(f"bad state count in {name!r}") from None
+
+
 def builtin_automaton(name: str) -> Dfa:
     """Resolve a built-in automaton name: 'cerny:<n>', 'kari' or 'roman'."""
     if name == "kari":
@@ -262,11 +270,7 @@ def builtin_automaton(name: str) -> Dfa:
     if name == "roman":
         return roman_automaton()
     if name.startswith("cerny:"):
-        try:
-            n = int(name.split(":", 1)[1])
-        except ValueError:
-            raise DfaError(f"bad state count in {name!r}") from None
-        return cerny_automaton(n)
+        return cerny_automaton(_cerny_states(name))
     raise DfaError(f"unknown automaton {name!r} (expected cerny:<n>, kari or roman)")
 
 

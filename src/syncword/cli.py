@@ -15,7 +15,7 @@ from pathlib import Path
 from . import enumeration, series, sync
 from .automaton import (BUILTIN_NAMES, LETTER_NAMES, Dfa, builtin_automaton,
                         dfa_from_json, image, parse_dfa, serialize_dfa,
-                        word_from_str, word_to_str)
+                        word_from_str, word_to_str, _cerny_states)
 from .errors import CapacityError, DfaError, DfaParseError
 from .word_matrix import dense, matrix_of_word, render
 
@@ -55,6 +55,15 @@ def load_input(spec: str) -> Dfa:
     return parse_dfa(text)
 
 
+def _load_for_search(spec: str) -> Dfa:
+    """load_input for a command that runs the reset search: a cerny:<n>
+    above the subset cap fails with the search's own error before its
+    rows are built."""
+    if spec.startswith("cerny:"):
+        sync._check_subset_cap(_cerny_states(spec))
+    return load_input(spec)
+
+
 def _emit(text: str, out: str | None):
     if not out:
         sys.stdout.write(text)
@@ -85,7 +94,7 @@ def _reset_search(dfa: Dfa) -> sync.ResetResult | None:
 
 
 def cmd_reset_word(args) -> int:
-    dfa = load_input(args.input)
+    dfa = _load_for_search(args.input)
     result = _reset_search(dfa)
     if result is None:
         if args.json:
@@ -144,10 +153,11 @@ def cmd_reset_word(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    dfa = load_input(args.input)
     if args.word is not None:
+        dfa = load_input(args.input)
         word = word_from_str(args.word, dfa.k)
     else:
+        dfa = _load_for_search(args.input)
         result = _reset_search(dfa)
         if result is None:
             print("not synchronizing and no --word given", file=sys.stderr)
@@ -175,7 +185,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dfa = load_input(args.input)
+    dfa = _load_for_search(args.input)
     expect = enumeration.EXAMPLE_EXPECTATIONS.get(args.input)
     results = enumeration.verify_automaton(dfa, expect)
     all_passed = all(r.passed for r in results)

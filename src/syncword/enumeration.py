@@ -15,7 +15,6 @@ import json
 import marshal
 import os
 import random
-from collections import deque
 from functools import cache
 from itertools import combinations_with_replacement, islice, permutations, product
 from math import comb
@@ -245,16 +244,16 @@ def _reset_length(images: list[list[int]], n: int) -> int | None:
     """Minimal reset length by subset BFS over per-letter image rows.
 
     The answer does not depend on the order of the rows, so one search
-    serves every letter order of a table.
+    serves every letter order of a table.  The queue is a plain list that
+    the loop walks while it grows, first in, first out.
     """
     full = (1 << n) - 1
     if full & (full - 1) == 0:
         return 0
     dist = [-1] * (full + 1)
     dist[full] = 0
-    queue = deque([full])
-    while queue:
-        s = queue.popleft()
+    queue = [full]
+    for s in queue:
         d = dist[s] + 1
         for row in images:
             t = row[s]

@@ -33,6 +33,13 @@ def _subset_limit() -> int:
     return DEFAULT_SUBSET_LIMIT
 
 
+def _check_subset_cap(n: int):
+    """Raise CapacityError when a subset BFS over n states exceeds the cap."""
+    cap = _subset_limit()
+    if n > cap:
+        raise CapacityError(f"subset BFS over 2^{n} states exceeds cap {cap}")
+
+
 @dataclass(frozen=True)
 class ResetResult:
     """A verified reset word with search metadata."""
@@ -115,9 +122,7 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     and cerny:22 (4,194,281 subsets) at 45 MiB peak RSS.
     """
     n = dfa.n
-    cap = _subset_limit()
-    if n > cap:
-        raise CapacityError(f"subset BFS over 2^{n} states exceeds cap {cap}")
+    _check_subset_cap(n)
     full = dfa.full_set
     if full & (full - 1) == 0:
         return ResetResult((), 0, full.bit_length() - 1, 0)

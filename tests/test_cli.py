@@ -193,16 +193,30 @@ entry()
 """
 
 
-def test_input_too_large_to_build_exits_3():
-    # cerny:N builds two rows of N entries before the state cap is checked;
-    # the child runs under a timeout and a 1 GiB address-space cap
+def run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child under a timeout and a 1 GiB address-space cap."""
     src = str(Path(syncword.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", CAPPED_CLI, "reset-word", "cerny:300000000"],
-        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src})
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={"PYTHONPATH": src})
+
+
+def test_input_too_large_to_build_exits_3():
+    # examples builds any cerny:N, here two rows of 3*10^8 entries
+    proc = run_capped("examples", "cerny:300000000")
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == "capacity error: out of memory\n"
+
+
+@pytest.mark.parametrize("argv", [["reset-word"], ["verify"], ["profile"]],
+                         ids=lambda argv: argv[0])
+def test_cerny_over_the_subset_cap_exits_3_before_it_is_built(argv):
+    proc = run_capped(*argv, "cerny:300000000")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("capacity error: subset BFS over 2^300000000 "
+                           "states exceeds cap 24\n")
 
 
 def test_reset_word_reads_json_file(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 from pathlib import Path
 
@@ -20,13 +21,13 @@ from syncword import (automaton, cli, enumeration, linspace, series, sync,
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
                                   _canonical_map_fixers, _counted_tables,
                                   _is_canonical, _map_masks, _multiset_walk,
-                                  _relabelings, _word_pool,
+                                  _relabelings, _reset_length, _word_pool,
                                   canonical_flat, claim_checks, flat_to_dfa,
                                   verify_automaton)
 
-from oracles import (all_pairs_reachable, dfa_to_flat, index_to_flat,
-                     near_sync_by_search, reference_scan, relabel_flat,
-                     strongly_connected_class_count)
+from oracles import (all_pairs_reachable, dfa_to_flat, frozenset_minimal_reset,
+                     index_to_flat, near_sync_by_search, reference_scan,
+                     relabel_flat, strongly_connected_class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +268,28 @@ def test_image_table_is_the_image_of_each_subset(targets):
     table = automaton._image_table(targets)
     assert table == [automaton.image(dfa, b, (0,)) for b in range(1 << n)]
     assert automaton._image_table([]) == [0]
+
+
+def _reset_length_cases():
+    """Every table with n <= 3 and k <= 2, every two-state table with
+    k <= 4, and 300 seeded random tables for each of four wider sizes."""
+    for n, k in [(n, k) for n in (1, 2, 3) for k in (1, 2)] + [(2, 3), (2, 4)]:
+        for flat in product(range(n), repeat=n * k):
+            yield flat_to_dfa(flat, n, k)
+    rng = random.Random(2013)
+    for n, k in ((4, 2), (4, 3), (5, 2), (5, 3)):
+        for _ in range(300):
+            yield Dfa(n, k, [[rng.randrange(n) for _ in range(n)]
+                             for _ in range(k)])
+
+
+def test_scan_bfs_matches_a_frozenset_search():
+    # reference_scan runs _reset_length itself, so the scan fences leave
+    # this kernel to the golden histograms; here it meets its own oracle
+    for d in _reset_length_cases():
+        images = [automaton._image_table(row) for row in d.delta]
+        word = frozenset_minimal_reset(d)
+        assert _reset_length(images, d.n) == (None if word is None else len(word)), d
 
 
 # every n <= 3 with k <= 3, and the widest two-state alphabets in the range
