@@ -67,14 +67,24 @@ class RowEchelon:
         return len(self.pivot_rows)
 
     def residual(self, vec: Sequence) -> list:
-        """The reduced copy of vec (width + tail entries), zero at every pivot."""
+        """The reduced copy of vec (width + tail entries), zero at every pivot.
+
+        A multiplier of 1, about half of all reductions in `verify`,
+        subtracts the stored row as it is, without forming products.  Stored
+        rows stay Fractions: integer pivot rows are faster still, but wait on
+        ROADMAP item 1 (the benchmark keeps every pass, so a faster `verify`
+        reads as more memory).
+        """
         vec = [_exact(x) for x in vec]
         full = self.width + self.tail
         if len(vec) != full:
             raise DfaError(f"vector width {len(vec)} != {full}")
         for col, row in self.pivot_rows:
             f = vec[col]
-            if f:
+            if f == 1:
+                for j, x in row:
+                    vec[j] -= x
+            elif f:
                 for j, x in row:
                     vec[j] -= f * x
         return vec

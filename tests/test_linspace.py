@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -227,8 +228,27 @@ def test_residual_is_zero_at_every_pivot(vecs, probe):
     probe = probe[:ech.width]
     res = ech.residual(probe)
     assert all(res[col] == 0 for col, _ in ech.pivot_rows)
-    # and it differs from the probe by a member of the span
-    assert ech.contains([p - r for p, r in zip(probe, res)])
+    # and it differs from the probe by a member of the span, checked by the
+    # integer oracle rather than by the residual under test
+    diff = [Fraction(p - r) for p, r in zip(probe, res)]
+    scale = lcm(*(x.denominator for x in diff))
+    assert int_rank(vecs + [[int(x * scale) for x in diff]]) == int_rank(vecs)
+
+
+def test_residual_values_on_every_multiplier_branch():
+    ech = RowEchelon(3)
+    ech.add([1, 1, 0])
+    ech.add([0, 2, 1])
+    # multipliers 1 then -1
+    res = ech.residual([1, 0, 1])
+    assert res == [0, 0, Fraction(3, 2)]
+    assert all(type(x) is Fraction for x in res)
+    # multipliers 2 then -2
+    assert ech.residual([2, 0, 1]) == [0, 0, 2]
+    for same in ([True, 0, 1], [Fraction(1), 0, 1]):
+        got = ech.residual(same)
+        assert got == res
+        assert all(type(x) is Fraction for x in got)
 
 
 def test_letter_closure_on_saturated_span():
