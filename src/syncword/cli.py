@@ -40,7 +40,8 @@ def load_input(spec: str) -> Dfa:
     if spec in ("kari", "roman") or spec.startswith("cerny:"):
         return builtin_automaton(spec)
     path = Path(spec)
-    if not path.exists():
+    # Path("") is the working directory
+    if not spec or not path.exists():
         raise DfaParseError(
             f"{spec!r} is neither a built-in ({', '.join(BUILTIN_NAMES)}) "
             f"nor an existing file")

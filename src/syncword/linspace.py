@@ -69,11 +69,11 @@ class RowEchelon:
     def residual(self, vec: Sequence) -> list:
         """The reduced copy of vec (width + tail entries), zero at every pivot.
 
-        A multiplier of 1, about half of all reductions in `verify`,
-        subtracts the stored row as it is, without forming products.  Stored
-        rows stay Fractions: integer pivot rows are faster still, but wait on
-        ROADMAP item 1 (the benchmark keeps every pass, so a faster `verify`
-        reads as more memory).
+        A multiplier of 1 or -1, about four in five of all reductions in
+        `verify`, subtracts or adds the stored row as it is, without forming
+        products.  Stored rows stay Fractions: integer pivot rows are faster
+        still, but wait on ROADMAP item 1 (the benchmark keeps every pass, so
+        a faster `verify` reads as more memory).
         """
         vec = [_exact(x) for x in vec]
         full = self.width + self.tail
@@ -84,6 +84,9 @@ class RowEchelon:
             if f == 1:
                 for j, x in row:
                     vec[j] -= x
+            elif f == -1:
+                for j, x in row:
+                    vec[j] += x
             elif f:
                 for j, x in row:
                     vec[j] -= f * x

@@ -101,8 +101,9 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     overridable via the SYNCWORD_SUBSET_LIMIT environment variable).
 
     Cost: the image of a subset is the OR of three table lookups, one per
-    chunk of w = max(8, ceil(n/3)) states, so for n <= 24 each letter has
-    three tables of at most 2^8 entries, built once per call.
+    chunk of w = ceil(n/3) states, so for n <= 24 each letter has three
+    tables of at most 2^8 entries, built once per call and no larger than
+    the automaton needs (n = 16 gets 64 + 64 + 16 entries).
 
     Memory: visited subsets start in a `set`, about 64 bytes each (the int
     and its slot).  At the first level boundary where the set takes more
@@ -127,7 +128,7 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     if full & (full - 1) == 0:
         return ResetResult((), 0, full.bit_length() - 1, 0)
     k = dfa.k
-    width = max(8, -(-n // 3))
+    width = -(-n // 3)
     low, high = (1 << width) - 1, 2 * width
     letters = [_chunk_tables(row, width) for row in dfa.delta]
     # codes parent_index * k + letter stay below 2^n * k
@@ -216,8 +217,8 @@ def _columns(f: Sequence[int]) -> list[int]:
 
 def _same_size(*matrices: WordMatrix) -> None:
     """Raise DfaError unless the matrices share one size."""
-    if len({M.n for M in matrices}) > 1:
-        raise DfaError(f"dimension mismatch: {[M.n for M in matrices]}")
+    if len({len(M.rows) for M in matrices}) > 1:
+        raise DfaError(f"dimension mismatch: {[len(M.rows) for M in matrices]}")
 
 
 def left_stability_check(Ma: WordMatrix, Mu: WordMatrix,
@@ -233,7 +234,7 @@ def left_stability_check(Ma: WordMatrix, Mu: WordMatrix,
     _same_size(Ma, Mu, Mv)
     u, v = _columns(Mu.rows), _columns(Mv.rows)
     au, av = _columns(multiply(Ma, Mu).rows), _columns(multiply(Ma, Mv).rows)
-    for q in range(Mu.n):
+    for q in range(len(u)):
         if not v[q] & ~u[q] and (av[q] & ~au[q] or u[q] == v[q] and au[q] != av[q]):
             return q
     return None

@@ -71,10 +71,10 @@ def multiply(A: WordMatrix, B: WordMatrix) -> WordMatrix:
 
     multiply(matrix_of_word(u), matrix_of_word(v)) is the matrix of uv.
     """
-    if A.n != B.n:
-        raise DfaError(f"dimension mismatch: {A.n} vs {B.n}")
-    b = B.rows
-    return _trusted(tuple([b[j] for j in A.rows]))
+    a, b = A.rows, B.rows
+    if len(a) != len(b):
+        raise DfaError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return _trusted(tuple([b[j] for j in a]))
 
 
 def nonzero_columns(M: WordMatrix) -> int:

@@ -140,6 +140,17 @@ def test_reset_word_missing_input(capsys):
     assert "neither a built-in" in err
 
 
+@pytest.mark.parametrize("argv", [["reset-word"], ["profile"], ["verify"],
+                                  ["profile", "--word", "ab"]])
+def test_empty_input_is_neither_a_builtin_nor_a_file(capsys, argv):
+    code, out, err = run(capsys, *argv, "")
+    assert code == 1
+    assert out == ""
+    assert "'' is neither a built-in (" in err
+    assert "nor an existing file" in err
+    assert "cannot read" not in err
+
+
 @pytest.mark.parametrize("spec, message", [
     ("cerny:1", "need at least 2 states"),
     ("cerny:x", "bad state count in 'cerny:x'"),

@@ -23,10 +23,11 @@ from syncword.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted(path.stem for path in (ROOT / "demos").glob("*.py"))
-# a relative path, because the reports echo the input as given
+# relative paths, because the reports echo the input as given; the two
+# random n=6 k=3 tables are the class that sets the verify workload's p90
 NEAR_SYNC = "near-sync.dfa"
 INPUTS = ("cerny:3", "cerny:4", "cerny:5", "cerny:6", "cerny:7", "kari",
-          "roman", NEAR_SYNC)
+          "roman", NEAR_SYNC, "random-n6-k3-a.dfa", "random-n6-k3-b.dfa")
 EXIT_CODES = GOLDEN / "exit-codes.json"
 
 

@@ -251,6 +251,36 @@ def test_residual_values_on_every_multiplier_branch():
         assert all(type(x) is Fraction for x in got)
 
 
+# entries in -2..2, so stored rows and probes meet multipliers of +-1 often,
+# given as int, Fraction or bool
+exact_entry = st.one_of(st.integers(-2, 2), st.integers(-2, 2).map(Fraction),
+                        st.booleans())
+
+
+@st.composite
+def echelon_and_probe(draw):
+    width = draw(st.integers(1, 5))
+    row = st.lists(exact_entry, min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=6)), draw(row)
+
+
+@given(echelon_and_probe())
+def test_residual_matches_a_reduction_that_always_multiplies(case):
+    vecs, probe = case
+    ech = RowEchelon(len(probe))
+    for vec in vecs:
+        ech.add(vec)
+    expected = list(probe)
+    for col, row in ech.pivot_rows:
+        f = expected[col]
+        if f:
+            for j, x in row:
+                expected[j] -= f * x
+    res = ech.residual(probe)
+    assert res == expected
+    assert [type(x) for x in res] == [type(x) for x in expected]
+
+
 def test_letter_closure_on_saturated_span():
     d = cerny_automaton(3)
     ech, witnesses = word_matrix_span(d)

@@ -83,8 +83,9 @@ def test_known_minimal_words_reproduced():
 
 @st.composite
 def chunked_tables(draw):
-    """Tables on one, two and three byte chunks of states; some two-sink."""
-    n = draw(st.sampled_from([1, 7, 8, 9, 16, 17]))
+    """Tables on chunks of one to six states, with an empty third chunk at
+    n = 2 and 4; some two-sink."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17]))
     k = draw(st.integers(1, 3))
     delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
                           min_size=k, max_size=k))
@@ -309,9 +310,12 @@ def test_q_relation_checks_reject_bad_q_and_sizes():
     with pytest.raises(DfaError):
         q_column(E3, 3)
     for check in (left_stability_check, reset_collapse_check):
-        for sizes in ((E3, E3, E4), (E3, E4, E3), (E4, E3, E3)):
-            with pytest.raises(DfaError):
+        for sizes, listed in (((E3, E3, E4), "[3, 3, 4]"),
+                              ((E3, E4, E3), "[3, 4, 3]"),
+                              ((E4, E3, E3), "[4, 3, 3]")):
+            with pytest.raises(DfaError) as err:
                 check(*sizes)
+            assert str(err.value) == f"dimension mismatch: {listed}"
 
 
 @settings(max_examples=200)

@@ -53,6 +53,9 @@ def test_multiply_identity_and_involution():
     assert multiply(swap, swap) == E
     with pytest.raises(DfaError):
         multiply(E, identity(3))
+    with pytest.raises(DfaError) as err:
+        multiply(identity(3), identity(4))
+    assert str(err.value) == "dimension mismatch: 3 vs 4"
 
 
 def test_multiply_matches_word_concatenation_exhaustively():
