@@ -51,6 +51,7 @@ def load_input(spec: str) -> Dfa:
         # an OSError's strerror omits the path, which the message already has
         reason = getattr(e, "strerror", None) or e
         raise DfaParseError(f"cannot read {spec!r}: {reason}") from None
+    text = text.removeprefix("\ufeff")  # a byte order mark is no content
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         return dfa_from_json(text)
     return parse_dfa(text)

@@ -209,35 +209,29 @@ def _canonical_map_fixers(n: int, k: int) -> dict[int, list[Relabeling]]:
     return out
 
 
-def _map_masks(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Each one-letter map m, by value: its degree mask, its forward and
-    reversed edge masks, and its relation mask.
+def _map_masks(n: int) -> tuple[list[int], list[int], list[int]]:
+    """Each one-letter map m, by value: its forward and reversed edge masks
+    and its relation mask.
 
-    The degree mask has bit p if m moves state p, and bit n + t if m sends
-    another state to t.  In a strongly connected table with n >= 2 every
-    state leaves for another and is entered from another, so the degree
-    masks of its letters OR to all 2n bits.  The edge masks have bit
-    p*n + m[p] and bit m[p]*n + p; ORed over the letters, they are the
-    table's adjacency as automaton._strongly_connected takes it.  The
-    relation mask keeps only the edges p -> t with t != p, as bit
-    p*(n-1) + (t if t < p else t-1), so n(n-1) bits in all.  Self-loops
-    never change strong connectivity, so tables whose letters OR to the
-    same relation mask share it.
+    The edge masks have bit p*n + m[p] and bit m[p]*n + p; ORed over the
+    letters, they are the table's adjacency as
+    automaton._strongly_connected takes it.  The relation mask keeps only
+    the edges p -> t with t != p, as bit p*(n-1) + (t if t < p else t-1),
+    so n(n-1) bits in all.  Self-loops never change strong connectivity,
+    so tables whose letters OR to the same relation mask share it.
     """
-    degrees, forward, backward, moves = [], [], [], []
+    forward, backward, moves = [], [], []
     for m in product(range(n), repeat=n):
-        degree = fwd = bwd = move = 0
+        fwd = bwd = move = 0
         for p, t in enumerate(m):
             if t != p:
-                degree |= 1 << p | 1 << n + t
                 move |= 1 << p * (n - 1) + (t if t < p else t - 1)
             fwd |= 1 << p * n + t
             bwd |= 1 << t * n + p
-        degrees.append(degree)
         forward.append(fwd)
         backward.append(bwd)
         moves.append(move)
-    return degrees, forward, backward, moves
+    return forward, backward, moves
 
 
 def _reset_length(images: list[list[int]], n: int) -> int | None:
@@ -302,6 +296,8 @@ class ScanReport:
 # entries of _scan_chunk's verdict table; 0 is unknown
 _CONNECTED = 1
 _DISCONNECTED = 2
+# exit status of a forked scan worker that ran out of memory
+_OUT_OF_MEMORY = 3
 
 
 def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
@@ -310,15 +306,16 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
 
     One BFS per multiset, weighted by the number of tables it stands for;
     a letter's image row is rebuilt only when its map value changes.
-    A strongly connected scan first rules out, by the degree masks of
-    _map_masks, the multisets whose letters leave some state unmoved or
-    unentered.  Of the rest, those of nonzero weight are looked up by
-    their letters' relation masks ORed in a verdict table of 2^(n(n-1))
-    bytes (unknown, connected or not); only on a miss are their edge masks
-    ORed and the reachability sweep run.  The masks and the verdict table
-    are built only for k >= 2, where n <= 5 under the enumeration guard,
-    so never for more than 3,125 maps or 1 MiB of verdicts.  They are
-    local to the call: workers share nothing.
+    Each multiset is checked cheapest test first: a canonical scan skips
+    those with no canonical first map, then a strongly connected scan
+    looks the multiset up by its letters' relation masks ORed in a verdict
+    table of 2^(n(n-1)) bytes (unknown, connected or not), and only on a
+    miss ORs their edge masks and runs the reachability sweep; then comes
+    the weight, then the BFS.  The masks and the verdict table are built
+    only for k >= 2, where n <= 5 under the enumeration guard, so never
+    for more than 3,125 maps or 1 MiB of verdicts; with one letter each
+    map is tested alone.  They are local to the call: workers share
+    nothing.
     The maximal multisets are canonicalized once, after the maximum is
     known, and the violation lists hold each counted table.
     """
@@ -336,26 +333,14 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
     # images[c] is the image table of built[c], the value of letter c's map
     images: list[list[int]] = [[]] * k
     built = [-1] * k
-    degrees = None
-    if require_sc and k > 1 and n > 1:
-        degrees, forward, backward, moves = _map_masks(n)
+    verdicts = None
+    if require_sc and k > 1:
+        forward, backward, moves = _map_masks(n)
         verdicts = bytearray(1 << n * (n - 1))
-    all_degrees = (1 << 2 * n) - 1
     for values in islice(multisets, worker, None, workers):
-        if degrees is not None:
-            seen = 0
-            for v in values:
-                seen |= degrees[v]
-            if seen != all_degrees:
-                continue
-        if fixers is not None:
-            weight = (0 if fixers.keys().isdisjoint(values) else
-                      sum(1 for _ in _counted_tables(values, letter_map, fixers)))
-        else:
-            weight = _arrangement_count(values)
-        if not weight:
+        if fixers is not None and fixers.keys().isdisjoint(values):
             continue
-        if degrees is not None:
+        if verdicts is not None:
             relation = 0
             for v in values:
                 relation |= moves[v]
@@ -371,6 +356,10 @@ def _scan_chunk(n: int, k: int, require_sc: bool, canonical: bool,
                 continue
         elif require_sc and not table_strongly_connected(
                 [t for v in values for t in letter_map(v)], n):
+            continue
+        weight = (_arrangement_count(values) if fixers is None else
+                  sum(1 for _ in _counted_tables(values, letter_map, fixers)))
+        if not weight:
             continue
         total += weight
         for c, v in enumerate(values):
@@ -408,7 +397,8 @@ def _fork_chunk(task: tuple) -> tuple[int, BinaryIO]:
     """Fork a child that scans one chunk: (its pid, the pipe it writes to).
 
     The child sends its partial through the pipe with marshal and leaves
-    through os._exit, with status 1 if the scan raised.
+    through os._exit, with status _OUT_OF_MEMORY and no traceback if the
+    scan ran out of memory, and status 1 if it raised anything else.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -424,6 +414,8 @@ def _fork_chunk(task: tuple) -> tuple[int, BinaryIO]:
             with os.fdopen(write_fd, "wb") as pipe:
                 marshal.dump(_scan_chunk(*task), pipe)
             status = 0
+        except MemoryError:
+            status = _OUT_OF_MEMORY
         except BaseException:
             import traceback
             traceback.print_exc()
@@ -437,7 +429,9 @@ def _forked_chunks(tasks: list[tuple]) -> list[dict]:
     """Partials of the tasks, in task order, each scanned in a forked child.
 
     Every child is reaped, also when one fails or the parent is
-    interrupted; then the children still running are killed first.
+    interrupted; then the children still running are killed first.  A
+    child that ran out of memory raises MemoryError, any other failure
+    RuntimeError.
     """
     import signal  # here, not at the top: only forking scans pay its import
     children: list[tuple[int, BinaryIO]] = []
@@ -454,6 +448,8 @@ def _forked_chunks(tasks: list[tuple]) -> list[dict]:
             if not done:
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    if _OUT_OF_MEMORY in statuses:
+        raise MemoryError
     for status in statuses:
         if status:
             raise RuntimeError(f"a scan worker failed with exit status {status}")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -198,14 +199,14 @@ def test_reset_word_env_capacity(monkeypatch, capsys):
 
 CAPPED_CLI = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
 from syncword.cli import entry
 entry()
 """
 
 
 def run_capped(*argv: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a child under a timeout and a 1 GiB address-space cap."""
+    """Run the CLI in a child under a timeout and a 256 MiB address-space cap."""
     src = str(Path(syncword.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv],
                           capture_output=True, text=True, timeout=120,
@@ -237,6 +238,19 @@ def test_reset_word_reads_json_file(tmp_path, capsys):
     code, out, _ = run(capsys, "reset-word", str(path))
     assert code == 0
     assert "length 1" in out
+
+
+@pytest.mark.parametrize("name, text", [
+    ("auto.dfa", "2 2\n1 1\n0 1\n"),
+    ("auto.json", '{"n": 2, "k": 2, "delta": [[1, 1], [0, 1]]}'),
+], ids=["text", "json"])
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    expected = run(capsys, "reset-word", str(path), "--json")
+    assert expected[0] == 0
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run(capsys, "reset-word", str(path), "--json") == expected
 
 
 @pytest.mark.parametrize("text, bad", [
@@ -421,6 +435,17 @@ def test_scan_json_stable_across_workers(capsys):
     data = json.loads(out1)
     assert data["total"] == 729
     assert data["histogram"]["4"] == 24
+
+
+def test_scan_worker_out_of_memory_exits_3(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(syncword.enumeration, "_scan_chunk", exhausted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "scan", "--n", "3", "--k", "2", "--workers", "2")
+    assert code == 3 and out == ""
+    assert err == "capacity error: out of memory\n"
 
 
 def test_scan_out_file(tmp_path, capsys):

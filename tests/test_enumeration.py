@@ -209,17 +209,21 @@ def test_scan_workers_clamped_to_multiset_count(monkeypatch):
     assert len(forks) == 4
 
 
-def test_failing_worker_raises_and_leaves_no_child(monkeypatch):
+def test_failing_worker_raises_and_leaves_no_child(monkeypatch, capfd):
+    # a worker out of memory exits quietly and the parent raises
+    # MemoryError; any other failure prints its traceback
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for error, raised, match in ((ValueError("chunk failed"), RuntimeError, "exit status 1"),
+                                 (MemoryError(), MemoryError, None)):
+        def broken(*args):
+            raise error
 
-    def broken(*args):
-        raise ValueError("chunk failed")
-
-    monkeypatch.setattr(enumeration, "_scan_chunk", broken)
-    with pytest.raises(RuntimeError, match="exit status 1"):
-        extremal_scan(ScanConfig(3, 2, worker_count=2))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(enumeration, "_scan_chunk", broken)
+        with pytest.raises(raised, match=match):
+            extremal_scan(ScanConfig(3, 2, worker_count=2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert ("Traceback" in capfd.readouterr().err) == (raised is RuntimeError)
 
 
 def test_failed_fork_kills_and_reaps_the_running_children(monkeypatch):
@@ -348,10 +352,10 @@ def test_witnesses_are_canonicalized_once_per_counted_table(monkeypatch):
         assert len(calls) == len(set(calls)) == count
 
 
-def test_strongly_connected_scan_rules_out_multisets_by_degree_masks(monkeypatch):
-    # of the 32,896 multisets of two 4-state maps, 11,685 move and enter
-    # every state; they have 702 distinct relation masks, one sweep each,
-    # and 651 of those relations are strongly connected
+def test_strongly_connected_scan_decides_by_the_relation_verdict_table(monkeypatch):
+    # the 32,896 multisets of two 4-state maps have 2,401 distinct relation
+    # masks, one sweep each, and 651 of those relations are strongly
+    # connected
     real = enumeration._strongly_connected
     calls = []
 
@@ -362,8 +366,19 @@ def test_strongly_connected_scan_rules_out_multisets_by_degree_masks(monkeypatch
     monkeypatch.setattr(enumeration, "_strongly_connected", counting)
     report = extremal_scan(ScanConfig(4, 2, require_strongly_connected=True))
     assert report.total == 20958
-    assert len(calls) == 702
+    assert len(calls) == 2401
     assert sum(real(*call) for call in calls) == 651
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_state_scan_is_decided_by_the_verdict_table(monkeypatch, k):
+    # at n = 1 the single map has relation mask 0, and one state is
+    # strongly connected; only one-letter scans test each table alone
+    def unexpected(flat, n):
+        raise AssertionError("table_strongly_connected called")
+
+    monkeypatch.setattr(enumeration, "table_strongly_connected", unexpected)
+    assert extremal_scan(ScanConfig(1, k, require_strongly_connected=True)).total == 1
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -371,22 +386,19 @@ def test_map_edge_masks_ored_decide_strong_connectivity(n):
     # every multiset of two and of three n-state maps, against a separate
     # search; the relation masks OR to one verdict per value, inside the
     # 2^(n(n-1)) entries of the scan's verdict table
-    degrees, forward, backward, moves = _map_masks(n)
+    forward, backward, moves = _map_masks(n)
     for k in (2, 3):
         verdicts = {}
         multisets, letter_map = _multiset_walk(n, k)
         for values in multisets:
-            fwd = bwd = seen = relation = 0
+            fwd = bwd = relation = 0
             for v in values:
                 fwd |= forward[v]
                 bwd |= backward[v]
-                seen |= degrees[v]
                 relation |= moves[v]
             flat = [t for v in values for t in letter_map(v)]
             expected = all_pairs_reachable(flat_to_dfa(flat, n, k))
             assert enumeration._strongly_connected(fwd, bwd, n) == expected
-            if expected:
-                assert seen == (1 << 2 * n) - 1
             assert relation >> n * (n - 1) == 0
             assert verdicts.setdefault(relation, expected) == expected
 
