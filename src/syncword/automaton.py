@@ -9,6 +9,7 @@ the empty word is allowed everywhere and acts as the identity.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Sequence
 
 from .errors import DfaError, DfaParseError
@@ -303,10 +304,7 @@ def parse_dfa(text: str) -> Dfa:
     parts = header.split()
     if len(parts) != 2:
         raise DfaParseError(f"expected header 'n k', got {header!r}", header_line)
-    try:
-        n, k = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise DfaParseError(f"non-integer header {header!r}", header_line) from None
+    n, k = (_int_field(part, "header field", header_line) for part in parts)
     if n < 1 or k < 1:
         raise DfaParseError(f"n and k must be positive, got {n} {k}", header_line)
     tokens = [(lineno, field) for lineno, line in rows[1:] for field in line.split()]
@@ -316,14 +314,32 @@ def parse_dfa(text: str) -> Dfa:
                             f"got {len(tokens)}", where)
     flat = []
     for lineno, field in tokens:
-        try:
-            t = int(field)
-        except ValueError:
-            raise DfaParseError(f"non-integer target {field!r}", lineno) from None
+        t = _int_field(field, "target", lineno)
         if not 0 <= t < n:
             raise DfaParseError(f"target {t} out of range [0, {n})", lineno)
         flat.append(t)
     return Dfa(n, k, tuple(tuple(flat[c * n:(c + 1) * n]) for c in range(k)))
+
+
+def _digit_limit() -> int:
+    """Python's cap on the digits of a decimal int conversion, or 0 where
+    the interpreter has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+def _int_field(field: str, what: str, line: int) -> int:
+    """int(field), else a DfaParseError that echoes at most 20 characters."""
+    try:
+        return int(field)
+    except ValueError:
+        pass
+    shown = repr(field) if len(field) <= 20 else repr(field[:20]) + "..."
+    limit = _digit_limit()
+    if limit and len(field) > limit:
+        raise DfaParseError(f"{what} {shown} has {len(field)} characters, over "
+                            f"the {limit}-digit integer limit", line)
+    raise DfaParseError(f"non-integer {what} {shown}", line)
 
 
 def dfa_from_json(text: str) -> Dfa:
@@ -332,6 +348,11 @@ def dfa_from_json(text: str) -> Dfa:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DfaParseError(f"bad JSON: {e}") from None
+    except RecursionError:
+        raise DfaParseError("bad JSON: nested too deep") from None
+    except ValueError:  # an integer literal past the digit limit
+        raise DfaParseError(f"bad JSON: an integer literal is over the "
+                            f"{_digit_limit()}-digit limit") from None
     try:
         n, k, delta = obj["n"], obj["k"], obj["delta"]
     except (TypeError, KeyError):

@@ -100,10 +100,14 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     Raises CapacityError when n exceeds the subset cap (default 24,
     overridable via the SYNCWORD_SUBSET_LIMIT environment variable).
 
-    Cost: the image of a subset is the OR of three table lookups, one per
-    chunk of w = ceil(n/3) states, so for n <= 24 each letter has three
-    tables of at most 2^8 entries, built once per call and no larger than
-    the automaton needs (n = 16 gets 64 + 64 + 16 entries).
+    Cost: until the visited map below is allocated, the image of a subset
+    is the OR of three table lookups, one per chunk of w = ceil(n/3)
+    states, so for n <= 24 each letter has three tables of at most 2^8
+    entries, cheap enough for a short search and no larger than the
+    automaton needs (n = 16 gets 64 + 64 + 16 entries).  Along with the
+    map, a search builds per letter two tables over the state halves, of
+    2^ceil(n/2) and 2^floor(n/2) entries, and from then on an image is two
+    lookups and one OR.
 
     Memory: visited subsets start in a `set`, about 64 bytes each (the int
     and its slot).  At the first level boundary where the set takes more
@@ -118,9 +122,11 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
     current or the next level; two consecutive levels hold fewer than 2^n
     subsets.  The worst case is thus about (min(k, 63) + 2 + c + 40) * 2^n
     bytes, set and map included: 768 MiB for k = 2 at the default cap
-    n = 24, so the cap is the memory limit.  Real frontiers are far
-    smaller: cerny:18 (262,125 subsets) peaks at 2.0 MiB under tracemalloc,
-    and cerny:22 (4,194,281 subsets) at 45 MiB peak RSS.
+    n = 24, so the cap is the memory limit.  The half tables add at most
+    2 * k * 2^ceil(n/2) entries of about 40 bytes each, 0.6 MiB for k = 2
+    at n = 24, far below the map.  Real frontiers are far smaller:
+    cerny:18 (262,125 subsets) peaks at 2.1 MiB under tracemalloc, and
+    cerny:22 (4,194,281 subsets) at 44 MiB peak RSS.
     """
     n = dfa.n
     _check_subset_cap(n)
@@ -147,6 +153,11 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
             for mask in seen:
                 visited[mask] = 1
             seen = None
+            # two lookups per letter from here on: tables over the halves
+            half = n - n // 2
+            half_low = (1 << half) - 1
+            halves = [(_image_table(row[:half]), _image_table(row[half:]))
+                      for row in dfa.delta]
         nxt: list[int] = []
         back = array(code_type)
         push, link = nxt.append, back.append
@@ -167,9 +178,9 @@ def shortest_reset_word(dfa: Dfa) -> ResetResult | None:
                     code += 1
         else:
             for mask in level:
-                b0, b1, b2 = mask & low, mask >> width & low, mask >> high
-                for t0, t1, t2 in letters:
-                    t = t0[b0] | t1[b1] | t2[b2]
+                b0, b1 = mask & half_low, mask >> half
+                for t0, t1 in halves:
+                    t = t0[b0] | t1[b1]
                     if not visited[t]:
                         if t & (t - 1) == 0:
                             return _linked_result(preds, code, k, t, expanded)

@@ -269,6 +269,44 @@ def test_reset_word_rejects_non_integer_json(tmp_path, capsys, text, bad):
     assert err.startswith("parse error:") and bad in err
 
 
+# the JSON decoder raises RecursionError, not JSONDecodeError, this deep
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter has no limit on the digits of an int")
+
+
+@pytest.mark.parametrize("command", ["reset-word", "verify", "profile"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "auto.json"
+    path.write_text(DEEP_JSON)
+    assert run(capsys, command, str(path)) == (
+        1, "", "parse error: bad JSON: nested too deep\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["reset-word", "verify", "profile"])
+def test_json_integer_over_the_digit_limit_is_a_parse_error(tmp_path, capsys,
+                                                             command):
+    path = tmp_path / "auto.json"
+    path.write_text('{"n": ' + "1" * 5000 + ', "k": 1, "delta": [[0]]}')
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, command, str(path)) == (
+        1, "", f"parse error: bad JSON: an integer literal is over the "
+               f"{limit}-digit limit\n")
+
+
+@needs_digit_limit
+def test_text_target_over_the_digit_limit_names_the_limit(tmp_path, capsys):
+    path = tmp_path / "auto.dfa"
+    path.write_text("2 1\n0 " + "1" * 5000 + "\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "reset-word", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"parse error: line 2: target '{'1' * 20}'... has 5000 "
+                   f"characters, over the {limit}-digit integer limit\n")
+
+
 # ---------------------------------------------------------------------------
 # profile
 

@@ -84,8 +84,12 @@ def test_known_minimal_words_reproduced():
 @st.composite
 def chunked_tables(draw):
     """Tables on chunks of one to six states, with an empty third chunk at
-    n = 2 and 4; some two-sink."""
-    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17]))
+    n = 2 and 4; some two-sink.  A synchronizing search switches to the
+    visited map and its two half tables per letter (equal at even n, one
+    state apart at odd n) after a few levels at n <= 8, mid-search in about
+    a third of the random tables at n = 12, and rarely at n >= 15."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                              15, 16, 17]))
     k = draw(st.integers(1, 3))
     delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
                           min_size=k, max_size=k))
@@ -112,9 +116,12 @@ def test_search_matches_frozenset_oracle(case):
 
 
 def test_states_expanded_pinned():
-    # reported by `reset-word --json`; the search order must not drift
-    assert shortest_reset_word(cerny_automaton(16)).states_expanded == 65_519
-    assert shortest_reset_word(cerny_automaton(18)).states_expanded == 262_125
+    # reported by `reset-word --json`; the search order must not drift.  At
+    # odd n the half tables of the visited-map phase differ in size.
+    for n, expanded in (16, 65_519), (17, 131_054), (18, 262_125), (19, 524_268):
+        result = shortest_reset_word(cerny_automaton(n))
+        assert result.states_expanded == expanded
+        assert result.word == cerny_word(n)
 
 
 def test_search_beyond_byte_chunks(monkeypatch):
@@ -148,13 +155,15 @@ def test_long_search_memory_stays_below_a_subset_set():
 
 
 def test_short_search_allocates_no_visited_map():
-    # a map for 24 states is 16 MiB
+    # a map for 24 states is 16 MiB.  The half tables built with it, 2 * 2
+    # * 2^12 entries, take 0.6 MiB: the search peaks at 0.26 MiB without
+    # them and at 0.89 MiB if they are built before the switch.
     rng = Random(0)
     d = Dfa(24, 2, tuple(tuple(rng.randrange(24) for _ in range(24))
                          for _ in range(2)))
     result, peak = traced_peak_mib(d)
     assert result.length == 13
-    assert peak < 1
+    assert peak < 0.5
 
 
 def test_eight_byte_predecessor_codes():
