@@ -209,7 +209,7 @@ def cerny_automaton(n: int) -> Dfa:
     """
     if n < 2:
         raise DfaError(f"need at least 2 states, got {n}")
-    a = tuple((i + 1) % n for i in range(n))
+    a = tuple(range(1, n)) + (0,)
     b = (1,) + tuple(range(1, n))
     return Dfa(n, 2, (a, b))
 

@@ -41,8 +41,11 @@ def _fraction(*args) -> Fraction:
 
 
 def _exact(x):
-    """An int as is, any other number (float, Fraction) as its exact Fraction."""
-    return x if isinstance(x, int) else _fraction(x)
+    """An int or a Fraction as is, any other number (a float) as its exact
+    Fraction.  It imports fractions itself, as _fraction does, so a command
+    that never eliminates still never loads it."""
+    from fractions import Fraction
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 class RowEchelon:
@@ -69,13 +72,15 @@ class RowEchelon:
     def residual(self, vec: Sequence) -> list:
         """The reduced copy of vec (width + tail entries), zero at every pivot.
 
-        A multiplier of 1 or -1, about four in five of all reductions in
+        `int` and `Fraction` entries are taken as they are; only other
+        numbers (floats) are converted, to their exact Fractions.  A
+        multiplier of 1 or -1, about four in five of all reductions in
         `verify`, subtracts or adds the stored row as it is, without forming
         products.  Stored rows stay Fractions: integer pivot rows are faster
         still, but wait on ROADMAP item 1 (the benchmark keeps every pass, so
         a faster `verify` reads as more memory).
         """
-        vec = [_exact(x) for x in vec]
+        vec = [x if type(x) is int else _exact(x) for x in vec]
         full = self.width + self.tail
         if len(vec) != full:
             raise DfaError(f"vector width {len(vec)} != {full}")
@@ -109,8 +114,11 @@ class RowEchelon:
 
 
 def span_dimension(vectors: Sequence[Sequence]) -> int:
-    """Rank of a list of equal-width vectors via exact elimination."""
-    vectors = list(vectors)
+    """Rank of a list of equal-width vectors via exact elimination.
+
+    Only the distinct vectors are reduced: a repeated one cannot add rank.
+    """
+    vectors = list(dict.fromkeys(tuple(v) for v in vectors))
     if not vectors:
         return 0
     ech = RowEchelon(len(vectors[0]))
@@ -177,14 +185,21 @@ def letter_closure_check(
     `generators` must span what `ech` holds, as the pair returned by
     word_matrix_span does.  Tests M_letter . g for every letter and every
     generator g against `ech`, adding nothing to it.  When that holds, the
-    span is stable under M_t for every word t.  On failure returns
-    (False, (letter, generator_index)) as the witness.
+    span is stable under M_t for every word t.  Each distinct product is
+    tested once: a repeat of one that passed passes too.  On failure
+    returns (False, (letter, generator_index)) as the witness, the first in
+    letter-then-generator order.
     """
     if ech.width != dfa.n * dfa.n:
         raise DfaError(f"echelon width {ech.width} != {dfa.n}^2")
+    tested = set()
     for c, Mc in enumerate(matrices_of_letters(dfa)):
         for gi, g in enumerate(generators):
-            if not ech.contains(flatten(multiply(Mc, g))):
+            prod = multiply(Mc, g)
+            if prod.rows in tested:
+                continue
+            tested.add(prod.rows)
+            if not ech.contains(flatten(prod)):
                 return False, (c, gi)
     return True, None
 
@@ -195,9 +210,11 @@ def word_matrix_span(dfa: Dfa) -> tuple[RowEchelon, list[tuple[tuple[int, ...], 
     Starts from the identity and left-multiplies by letters, keeping only
     matrices that enlarge the span.  Once no product of a letter with a
     kept matrix adds dimension, the span is closed under every M_t and so
-    contains every word matrix.  Returns the accumulator and the kept
-    (word, matrix) witnesses.  A correct span keeps at most n(n-1)+1, so
-    saturation stops past n^2 kept: a broken echelon cannot loop forever.
+    contains every word matrix.  A product whose matrix was reduced before
+    is skipped: the span already holds it, so each distinct matrix is
+    reduced once.  Returns the accumulator and the kept (word, matrix)
+    witnesses.  A correct span keeps at most n(n-1)+1, so saturation stops
+    past n^2 kept: a broken echelon cannot loop forever.
     """
     n = dfa.n
     ech = RowEchelon(n * n)
@@ -207,12 +224,16 @@ def word_matrix_span(dfa: Dfa) -> tuple[RowEchelon, list[tuple[tuple[int, ...], 
     ech.add(flatten(E))
     witnesses.append(((), E))
     frontier.append(((), E))
+    reduced = {E.rows}
     letters = matrices_of_letters(dfa)
     while frontier and len(witnesses) <= n * n:
         fresh = []
         for c, Mc in enumerate(letters):
             for w, g in frontier:
                 cand = multiply(Mc, g)
+                if cand.rows in reduced:
+                    continue
+                reduced.add(cand.rows)
                 if ech.add(flatten(cand)):
                     entry = ((c,) + w, cand)
                     witnesses.append(entry)

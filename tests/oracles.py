@@ -2,17 +2,22 @@
 
 These deliberately avoid the library's own algorithms: reset lengths come
 from plain word enumeration or a frozenset search, ranks from fraction-free
-integer elimination, reachability from per-state searches.
+integer elimination, reachability from per-state searches.  The span
+saturation and letter-closure loops are the exception: they keep the
+library's echelon and drop only its skip of repeated products, so that a
+test can hold the skip to the plain loop.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
-from syncword import Dfa, DfaError, ScanConfig, ScanReport, image
+from syncword import Dfa, DfaError, RowEchelon, ScanConfig, ScanReport, image
 from syncword import automaton, enumeration
 from syncword.enumeration import canonical_flat, flat_to_dfa
+from syncword.linspace import flatten
 from syncword.sync import _suffix_columns
+from syncword.word_matrix import identity, matrices_of_letters, multiply
 
 
 def apply(dfa: Dfa, p: int, w) -> int:
@@ -250,3 +255,38 @@ def reference_scan(cfg: ScanConfig) -> ScanReport:
     report.synchronizing = sum(report.histogram.values())
     report.witnesses = sorted(witnesses)
     return report
+
+
+def saturate_every_product(dfa: Dfa):
+    """word_matrix_span without its skip of repeated matrices: every product
+    of a letter with a frontier matrix is reduced by the echelon, each
+    round, whether or not the same matrix was reduced before.  Returns the
+    echelon and the kept (word, matrix) witnesses."""
+    n = dfa.n
+    ech = RowEchelon(n * n)
+    E = identity(n)
+    ech.add(flatten(E))
+    witnesses = [((), E)]
+    frontier = [((), E)]
+    letters = matrices_of_letters(dfa)
+    while frontier and len(witnesses) <= n * n:
+        fresh = []
+        for c, Mc in enumerate(letters):
+            for w, g in frontier:
+                cand = multiply(Mc, g)
+                if ech.add(flatten(cand)):
+                    witnesses.append(((c,) + w, cand))
+                    fresh.append(((c,) + w, cand))
+        frontier = fresh
+    return ech, witnesses
+
+
+def closure_every_product(dfa: Dfa, ech, generators):
+    """letter_closure_check without its skip of repeated products: the first
+    (letter, generator index) whose product falls outside the echelon's
+    span, in letter-then-generator order, or None."""
+    for c, Mc in enumerate(matrices_of_letters(dfa)):
+        for gi, g in enumerate(generators):
+            if not ech.contains(flatten(multiply(Mc, g))):
+                return c, gi
+    return None

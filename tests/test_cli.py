@@ -94,6 +94,23 @@ def test_one_reset_search_per_command(monkeypatch, capsys, argv):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name, reductions", [("kari", 568), ("cerny:7", 771)])
+def test_verify_reduces_each_distinct_vector_once(monkeypatch, capsys, name,
+                                                  reductions):
+    # every span, membership and rank query reduces through residual; these
+    # counts hold once repeated products and duplicate rows are skipped
+    calls = []
+    real = syncword.linspace.RowEchelon.residual
+
+    def counting(self, vec):
+        calls.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(syncword.linspace.RowEchelon, "residual", counting)
+    assert run(capsys, "verify", name)[0] == 0
+    assert len(calls) == reductions
+
+
 def test_check_lemmas_builds_no_extra_word_matrices(monkeypatch, capsys):
     calls = count_calls(monkeypatch, syncword.word_matrix.matrix_of_word)
     assert run(capsys, "reset-word", "kari")[0] == 0

@@ -1,16 +1,33 @@
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from syncword import (DfaError, RowEchelon, WordMatrix, cerny_automaton,
+from syncword import (Dfa, DfaError, RowEchelon, WordMatrix, cerny_automaton,
                       coefficient_sum, decompose, flatten, identity,
                       kari_automaton, letter_closure_check, matrix_of_word,
                       span_dimension, standard_basis, word_matrix_span)
 
-from oracles import combine, int_flat, int_rank
+from oracles import (closure_every_product, combine, int_flat, int_rank,
+                     saturate_every_product)
+
+
+@contextmanager
+def reduced_vectors():
+    """Records, as tuples, the vectors that RowEchelon.residual reduces."""
+    seen = []
+    real = RowEchelon.residual
+
+    def recording(self, vec):
+        seen.append(tuple(vec))
+        return real(self, vec)
+
+    with patch.object(RowEchelon, "residual", recording):
+        yield seen
 
 
 def family_on_columns(n, k):
@@ -78,6 +95,16 @@ def test_span_dimension_invariant_under_permutation_and_scaling(vecs, rng):
 @given(small_vector_lists)
 def test_span_dimension_matches_integer_oracle(vecs):
     assert span_dimension(vecs) == int_rank(vecs)
+
+
+@given(small_vector_lists, st.data(), st.randoms(use_true_random=False))
+def test_span_dimension_of_repeated_vectors_matches_integer_oracle(vecs, data, rng):
+    repeats = data.draw(st.lists(st.sampled_from(vecs), max_size=8))
+    listed = vecs + repeats
+    rng.shuffle(listed)
+    with reduced_vectors() as reduced:
+        assert span_dimension(listed) == int_rank(vecs)
+    assert sorted(reduced) == sorted(set(map(tuple, vecs)))
 
 
 def test_span_dimension_families():
@@ -279,6 +306,71 @@ def test_residual_matches_a_reduction_that_always_multiplies(case):
     res = ech.residual(probe)
     assert res == expected
     assert [type(x) for x in res] == [type(x) for x in expected]
+
+
+mixed_entry = st.one_of(
+    st.integers(-2, 2), st.integers(-4, 4).map(lambda x: Fraction(x, 2)),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+
+
+@given(echelon_and_probe(), st.data())
+def test_residual_of_mixed_entries_matches_its_exact_conversion(case, data):
+    vecs, _ = case
+    ech = RowEchelon(len(vecs[0]))
+    for vec in vecs:
+        ech.add(vec)
+    probe = data.draw(st.lists(mixed_entry, min_size=ech.width, max_size=ech.width))
+    res = ech.residual(probe)
+    assert res == ech.residual([Fraction(x) for x in probe])
+    assert not any(type(x) is float for x in res)
+
+
+def test_residual_takes_exact_entries_as_they_are():
+    third = Fraction(1, 3)
+    res = RowEchelon(3).residual([third, 7, 0.25])
+    assert res[0] is third
+    assert type(res[1]) is int
+    assert res[2] == Fraction(1, 4) and type(res[2]) is Fraction
+
+
+@st.composite
+def small_dfas(draw):
+    """A random table with n <= 5 states and k <= 3 letters."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+    return Dfa(n, k, tuple(map(tuple, delta)))
+
+
+@settings(deadline=None)
+@given(small_dfas())
+def test_word_matrix_span_matches_the_saturation_of_every_product(d):
+    with reduced_vectors() as reduced:
+        ech, witnesses = word_matrix_span(d)
+    with reduced_vectors() as oracle_reduced:
+        oracle_ech, oracle_witnesses = saturate_every_product(d)
+    assert witnesses == oracle_witnesses
+    assert ech.pivot_rows == oracle_ech.pivot_rows
+    # each matrix the plain loop reduces, and only those, is reduced once
+    assert sorted(reduced) == sorted(set(oracle_reduced))
+
+
+@settings(deadline=None)
+@given(small_dfas())
+def test_letter_closure_matches_the_check_of_every_product(d):
+    # the last witness is a letter times a kept matrix and lies outside the
+    # kept span, so the check fails unless the identity is the only witness
+    _, witnesses = word_matrix_span(d)
+    kept = [g for _, g in witnesses[:-1]]
+    ech = RowEchelon(d.n * d.n)
+    for g in kept:
+        ech.add(flatten(g))
+    with reduced_vectors() as reduced:
+        ok, witness = letter_closure_check(d, ech, kept)
+    assert witness == closure_every_product(d, ech, kept)
+    assert ok == (witness is None)
+    assert len(reduced) == len(set(reduced))
 
 
 def test_letter_closure_on_saturated_span():
