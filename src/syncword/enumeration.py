@@ -30,7 +30,7 @@ from .word_matrix import (WordMatrix, dense, matrix_of_word, matrices_of_letters
 
 ENUMERATION_GUARD = 10 ** 9
 CANONICAL_MAX_N = 5
-# image-monotone composes ordered pairs of pool words of length <= 3, at
+# image-monotone looks up ordered pairs of pool words of length <= 3, at
 # most (k^3+k^2+k+1)^2 of them: 342,225 at k = 8
 VERIFY_MAX_K = 8
 
@@ -555,6 +555,27 @@ def _word_pool(dfa: Dfa) -> list[Word]:
     return pool
 
 
+def _image_lookup(M: WordMatrix) -> Callable[[int], int]:
+    """The map from a set of rows (a bitmask) to the set of columns M sends
+    it to, so that im(M_u·M) is the lookup of im(M_u).  Three lookups in
+    M's chunk tables, chunks of ceil(n/3) rows as in the reset search; no
+    2^n-entry table is built.
+    """
+    width = -(-M.n // 3)
+    low, high = (1 << width) - 1, 2 * width
+    t0, t1, t2 = sync._chunk_tables(M.rows, width)
+    return lambda m: t0[m & low] | t1[m >> width & low] | t2[m >> high]
+
+
+def _left_combination(M: WordMatrix, coeffs: Sequence[int],
+                      flats: Sequence[Sequence[int]]) -> list[int]:
+    """flatten(M·C) for C = sum(c_i G_i) over the flattened G_i, composing
+    M with no G_i: row p of M·C is row M.rows[p] of C."""
+    n = M.n
+    C = [sum(c * f[i] for c, f in zip(coeffs, flats)) for i in range(n * n)]
+    return [x for r in M.rows for x in C[r * n:r * n + n]]
+
+
 def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     """Run the whole lemma battery against one automaton.
 
@@ -609,11 +630,18 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     vec = {w: linspace.flatten(mat[w]) for w in words}
 
     # image monotonicity: columns of a longer word sit inside its suffix's;
-    # the words of length <= 3 come first in the pool
+    # the words of length <= 3 come first in the pool.  The lookups are
+    # made one s at a time, s outermost, so the first failing pair in
+    # u-major order is the one with the least u, and after a failure only
+    # lesser u are read.
     short = [w for w in words if len(w) <= 3]
-    bad = next(((u, s) for u in short for s in short
-                if nonzero_columns(multiply(mat[u], mat[s])) & ~nonzero_columns(mat[s])),
-               None)
+    imgs = [nonzero_columns(mat[w]) for w in short]
+    bad, bad_at = None, len(short)
+    for s, img_s in zip(short, imgs):
+        image_of, outside = _image_lookup(mat[s]), ~img_s
+        i = next((i for i in range(bad_at) if image_of(imgs[i]) & outside), None)
+        if i is not None:
+            bad, bad_at = (short[i], s), i
     check("image-monotone", bad is None, f"counterexample {bad}" if bad else "")
 
     # reset matrix shape and rank-by-columns
@@ -690,10 +718,7 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
         coeffs = [rng.randint(-2, 2) for _ in flats]
         t = pool[rng.randrange(len(pool))]
         # left multiplication is linear: M_t . sum(c_i G_i) = sum(c_i M_t G_i)
-        prods = [linspace.flatten(multiply(mat[t], g)) for _, g in witnesses]
-        combo = [sum(c * f[i] for c, f in zip(coeffs, prods))
-                 for i in range(n * n)]
-        if not ech.contains(combo):
+        if not ech.contains(_left_combination(mat[t], coeffs, flats)):
             ok = False
             break
     check("span-word-stability", ok)
@@ -706,14 +731,34 @@ def verify_automaton(dfa: Dfa, expect: dict | None = None) -> list[CheckResult]:
     i = next((i for i, v in enumerate(suffix_vecs) if not sech.add(v)), len(suffix_vecs))
     check("suffix-independence", linspace.span_dimension(suffix_vecs[:i]) == i)
 
-    # left stability and reset collapse over sampled triples
+    # left stability and reset collapse over sampled triples, on the
+    # q-columns of M_u, M_v, M_a·M_u and M_a·M_v.  The columns of each
+    # matrix and the product of each pair of matrices are built once, for
+    # both checks.
     rng = random.Random(13 * n + dfa.k)
     triples = [(pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))],
                 pool[rng.randrange(len(pool))]) for _ in range(200)]
+    cols: dict[tuple[int, ...], list[int]] = {}
+    prods: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+
+    def columns(rows: tuple[int, ...]) -> list[int]:
+        if rows not in cols:
+            cols[rows] = sync._columns(rows)
+        return cols[rows]
+
+    def product_columns(A: WordMatrix, B: WordMatrix) -> list[int]:
+        key = A.rows, B.rows
+        if key not in prods:
+            prods[key] = columns(multiply(A, B).rows)
+        return prods[key]
+
+    quads = [(columns(mat[u].rows), columns(mat[v].rows),
+              product_columns(mat[a], mat[u]), product_columns(mat[a], mat[v]))
+             for a, u, v in triples]
     for check_name, first_failure in (("left-stability", sync.left_stability_check),
                                       ("reset-collapse", sync.reset_collapse_check)):
-        bad = next(((a, u, v, qq) for a, u, v in triples
-                    if (qq := first_failure(mat[a], mat[u], mat[v])) is not None),
+        bad = next(((a, u, v, qq) for (a, u, v), quad in zip(triples, quads)
+                    if (qq := first_failure(*quad)) is not None),
                    None)
         check(check_name, bad is None, str(bad) if bad else "")
 

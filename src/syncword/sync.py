@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .automaton import Dfa, Word, image, suffix_maps, _image_table
 from .errors import CapacityError, DfaError
-from .word_matrix import WordMatrix, multiply
+from .word_matrix import WordMatrix
 
 DEFAULT_SUBSET_LIMIT = 24
 SUBSET_LIMIT_ENV = "SYNCWORD_SUBSET_LIMIT"
@@ -212,8 +212,9 @@ def _linked_result(preds: list[array], code: int, k: int, target: int,
 
 def q_column(M: WordMatrix, q: int) -> int:
     """Bitmask of rows holding a unit in column q: the preimage of q."""
-    if not 0 <= q < M.n:
-        raise DfaError(f"state {q} out of range [0, {M.n})")
+    # as in Dfa.check_state: a bool is an int, and a float is no index
+    if type(q) is not int or not 0 <= q < M.n:
+        raise DfaError(f"state {q!r} out of range [0, {M.n})")
     return _columns(M.rows)[q]
 
 
@@ -226,47 +227,48 @@ def _columns(f: Sequence[int]) -> list[int]:
     return cols
 
 
-def _same_size(*matrices: WordMatrix) -> None:
-    """Raise DfaError unless the matrices share one size."""
-    if len({len(M.rows) for M in matrices}) > 1:
-        raise DfaError(f"dimension mismatch: {[len(M.rows) for M in matrices]}")
+def _same_size(*columns: Sequence[int]) -> None:
+    """Raise DfaError unless the q-column lists share one size."""
+    if len({len(c) for c in columns}) > 1:
+        raise DfaError(f"dimension mismatch: {[len(c) for c in columns]}")
 
 
-def left_stability_check(Ma: WordMatrix, Mu: WordMatrix,
-                         Mv: WordMatrix) -> int | None:
+def left_stability_check(u: list[int], v: list[int], au: list[int],
+                         av: list[int]) -> int | None:
     """The least state q at which left multiplication breaks a q-relation
     on this triple, or None when it breaks none.
 
-    For every q, M_u ~q M_v must force M_au ~q M_av, and the q-column of
-    M_v inside M_u's must force the same containment after prefixing a.
-    Both implications hold vacuously when the antecedent fails.  Each
-    product is composed once for all q.
+    The arguments are the q-column lists (entry q is the bitmask of the rows
+    mapped to q) of M_u, M_v, M_a·M_u and M_a·M_v.  For every q, M_u ~q M_v
+    must force M_au ~q M_av, and the q-column of M_v inside M_u's must force
+    the same containment after prefixing a.  Both implications hold
+    vacuously when the antecedent fails.
     """
-    _same_size(Ma, Mu, Mv)
-    u, v = _columns(Mu.rows), _columns(Mv.rows)
-    au, av = _columns(multiply(Ma, Mu).rows), _columns(multiply(Ma, Mv).rows)
+    _same_size(u, v, au, av)
     for q in range(len(u)):
         if not v[q] & ~u[q] and (av[q] & ~au[q] or u[q] == v[q] and au[q] != av[q]):
             return q
     return None
 
 
-def reset_collapse_check(Mt: WordMatrix, Mu: WordMatrix,
-                         Mv: WordMatrix) -> int | None:
+def reset_collapse_check(u: list[int], v: list[int], tu: list[int],
+                         tv: list[int]) -> int | None:
     """The state q at which collapse to full equality fails on this
     triple, or None when it holds.
 
+    The arguments are the q-column lists of M_u, M_v, M_t·M_u and M_t·M_v.
     When the q-column of M_v sits inside M_u's (as when M_u ~q M_v) and
     M_tv is the reset matrix targeting q, M_tu must equal M_tv as a whole
-    matrix.  Only the one target of a reset M_tv has a full q-column, so
-    only that state can fail; each product is composed at most once.
+    matrix.  M_tv resets to q exactly when its q-column is full, which
+    holds for one q at most, so only that state can fail; and two
+    row-functional matrices are equal exactly when their q-column lists are.
     """
-    _same_size(Mt, Mu, Mv)
-    Mtv = multiply(Mt, Mv)
-    q = Mtv.rows[0]
-    if (any(t != q for t in Mtv.rows)
-            or _columns(Mv.rows)[q] & ~_columns(Mu.rows)[q]
-            or multiply(Mt, Mu) == Mtv):
+    _same_size(u, v, tu, tv)
+    full = (1 << len(tv)) - 1
+    if full not in tv:
+        return None
+    q = tv.index(full)
+    if v[q] & ~u[q] or tu == tv:
         return None
     return q
 

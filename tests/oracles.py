@@ -5,7 +5,10 @@ from plain word enumeration or a frozenset search, ranks from fraction-free
 integer elimination, reachability from per-state searches.  The span
 saturation and letter-closure loops are the exception: they keep the
 library's echelon and drop only its skip of repeated products, so that a
-test can hold the skip to the plain loop.
+test can hold the skip to the plain loop.  So are the battery's loops that
+compose every word product (the q-relation checks on matrices, the
+image-monotone pairs and the span-word-stability combination): a test
+holds the battery's column and lookup forms to them.
 """
 
 from fractions import Fraction
@@ -16,8 +19,9 @@ from syncword import Dfa, DfaError, RowEchelon, ScanConfig, ScanReport, image
 from syncword import automaton, enumeration
 from syncword.enumeration import canonical_flat, flat_to_dfa
 from syncword.linspace import flatten
-from syncword.sync import _suffix_columns
-from syncword.word_matrix import identity, matrices_of_letters, multiply
+from syncword.sync import _columns, _suffix_columns
+from syncword.word_matrix import (dense, identity, matrices_of_letters, multiply,
+                                  nonzero_columns)
 
 
 def apply(dfa: Dfa, p: int, w) -> int:
@@ -290,3 +294,87 @@ def closure_every_product(dfa: Dfa, ech, generators):
             if not ech.contains(flatten(multiply(Mc, g))):
                 return c, gi
     return None
+
+
+# ---------------------------------------------------------------------------
+# the battery's word products, composed every time
+
+def left_stability_by_matrices(Ma, Mu, Mv):
+    """The q-relation check on word matrices: the least q at which
+    M_u ~q M_v fails to force M_au ~q M_av, or the q-column of M_v inside
+    M_u's fails to force the same containment after prefixing a; or None."""
+    u, v = _columns(Mu.rows), _columns(Mv.rows)
+    au, av = _columns(multiply(Ma, Mu).rows), _columns(multiply(Ma, Mv).rows)
+    for q in range(len(u)):
+        if not v[q] & ~u[q] and (av[q] & ~au[q] or u[q] == v[q] and au[q] != av[q]):
+            return q
+    return None
+
+
+def reset_collapse_by_matrices(Mt, Mu, Mv):
+    """The reset-collapse check on word matrices: the target q of a reset
+    M_tv with the q-column of M_v inside M_u's and M_tu != M_tv; or None."""
+    Mtv = multiply(Mt, Mv)
+    q = Mtv.rows[0]
+    if (any(t != q for t in Mtv.rows)
+            or _columns(Mv.rows)[q] & ~_columns(Mu.rows)[q]
+            or multiply(Mt, Mu) == Mtv):
+        return None
+    return q
+
+
+def dense_columns(M):
+    """Every column of the dense view as a bitmask of its unit rows."""
+    D = dense(M)
+    return [sum(row[q] << p for p, row in enumerate(D)) for q in range(M.n)]
+
+
+def relation_columns(Ma, Mu, Mv):
+    """The q-column lists of M_u, M_v, M_a·M_u and M_a·M_v, read off the
+    dense views: the arguments of the q-relation checks."""
+    return [dense_columns(M) for M in (Mu, Mv, multiply(Ma, Mu), multiply(Ma, Mv))]
+
+
+def left_stability_dense(Mu, Mv, Mau, Mav):
+    """left-stability stated on four dense matrices, whether or not the last
+    two are products of the first two: the least q with column q of M_v
+    inside M_u's such that column q of M_av is not inside M_au's, or the
+    columns of M_u and M_v are equal and those of M_au and M_av are not."""
+    U, V, AU, AV = (dense(M) for M in (Mu, Mv, Mau, Mav))
+    n = len(U)
+    for q in range(n):
+        u, v, au, av = ([row[q] for row in D] for D in (U, V, AU, AV))
+        inside = all(y <= x for x, y in zip(u, v))
+        if inside and (any(y > x for x, y in zip(au, av)) or u == v and au != av):
+            return q
+    return None
+
+
+def reset_collapse_dense(Mu, Mv, Mtu, Mtv):
+    """reset-collapse stated on four dense matrices: the q at which M_tv is
+    all ones in column q, column q of M_v lies inside M_u's, and M_tu and
+    M_tv differ anywhere; or None."""
+    U, V, TU, TV = (dense(M) for M in (Mu, Mv, Mtu, Mtv))
+    n = len(U)
+    for q in range(n):
+        if (all(row[q] for row in TV)
+                and all(V[p][q] <= U[p][q] for p in range(n)) and TU != TV):
+            return q
+    return None
+
+
+def image_monotone_by_products(short, mat, compose=multiply):
+    """The first pair (u, s) of `short`, u-major, whose product's image is
+    not inside im(M_s), composing M_u·M_s with `compose` for every pair; or
+    None."""
+    return next(((u, s) for u in short for s in short
+                 if nonzero_columns(compose(mat[u], mat[s])) & ~nonzero_columns(mat[s])),
+                None)
+
+
+def left_combination_by_products(Mt, coeffs, generators):
+    """flatten(M_t · sum(c_i G_i)) as the sum of the flattened products
+    c_i·flatten(M_t·G_i)."""
+    n = Mt.n
+    prods = [flatten(multiply(Mt, g)) for g in generators]
+    return [sum(c * f[i] for c, f in zip(coeffs, prods)) for i in range(n * n)]

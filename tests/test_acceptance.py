@@ -22,7 +22,7 @@ from syncword.sync import (left_stability_check, near_sync_suffixes,
                            reset_collapse_check, suffix_distinctness_check)
 from syncword.word_matrix import matrix_of_word
 
-from oracles import int_rank
+from oracles import int_rank, relation_columns
 
 
 def criterion(num, description):
@@ -137,17 +137,19 @@ def test_criterion_6_stability_and_collapse():
     for u in words:
         for v in words:
             for a in multipliers:
-                assert left_stability_check(M[a], M[u], M[v]) is None, (a, u, v)
+                cols = relation_columns(M[a], M[u], M[v])
+                assert left_stability_check(*cols) is None, (a, u, v)
             for t in collapse_ts:
-                assert reset_collapse_check(M[t], M[u], M[v]) is None, (t, u, v)
+                cols = relation_columns(M[t], M[u], M[v])
+                assert reset_collapse_check(*cols) is None, (t, u, v)
     kari = kari_automaton()
     rng = random.Random(2001)
     for _ in range(500):
         a, u, v = (tuple(rng.randrange(2) for _ in range(rng.randint(0, 8)))
                    for _ in range(3))
-        Ma, Mu, Mv = (matrix_of_word(kari, w) for w in (a, u, v))
-        assert left_stability_check(Ma, Mu, Mv) is None, (a, u, v)
-        assert reset_collapse_check(Ma, Mu, Mv) is None, (a, u, v)
+        cols = relation_columns(*(matrix_of_word(kari, w) for w in (a, u, v)))
+        assert left_stability_check(*cols) is None, (a, u, v)
+        assert reset_collapse_check(*cols) is None, (a, u, v)
 
 
 @criterion(7, "minimal words pass irreducibility, suffix distinctness and "

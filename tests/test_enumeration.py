@@ -10,7 +10,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from syncword import (CapacityError, Dfa, DfaError, ResetResult, ScanConfig,
                       cerny_automaton, cerny_word, extremal_scan,
@@ -20,14 +20,16 @@ from syncword import (automaton, cli, enumeration, linspace, series, sync,
                       word_matrix)
 from syncword.enumeration import (EXAMPLE_EXPECTATIONS, CheckResult,
                                   _canonical_map_fixers, _counted_tables,
-                                  _is_canonical, _map_masks, _multiset_walk,
+                                  _image_lookup, _is_canonical,
+                                  _left_combination, _map_masks, _multiset_walk,
                                   _relabelings, _reset_length, _word_pool,
                                   canonical_flat, claim_checks, flat_to_dfa,
                                   verify_automaton)
 
 from oracles import (all_pairs_reachable, dfa_to_flat, frozenset_minimal_reset,
-                     index_to_flat, near_sync_by_search, reference_scan,
-                     relabel_flat, strongly_connected_class_count)
+                     image_monotone_by_products, index_to_flat,
+                     left_combination_by_products, near_sync_by_search,
+                     reference_scan, relabel_flat, strongly_connected_class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +675,17 @@ def test_verify_names_the_empty_word_as_a_counterexample(monkeypatch):
 
 
 def test_verify_flags_a_composition_that_reads_its_factors_in_reverse(monkeypatch):
+    # the battery composes only the q-relation products (and the
+    # last-letter ones); image-monotone looks images up and composes none
     real = word_matrix.multiply
     monkeypatch.setattr(enumeration, "multiply", lambda A, B: real(B, A))
-    for name, detail in (("cerny:4", "counterexample ((0,), (1,))"),
-                         ("roman", "counterexample ((0,), (0, 1))")):
+    for name, detail in (
+            ("cerny:4", "((0, 0, 1), (0, 1, 1, 0, 0, 1, 0), (0, 1, 0, 0, 1, 1, 0, 1), 2)"),
+            ("roman", "((2, 0, 2), (2, 2, 1, 1, 0, 2), (1, 1, 2, 1, 2, 0, 2, 1, 1), 0)")):
         results = {r.name: r for r in verify_automaton(
             automaton.builtin_automaton(name))}
-        assert results["image-monotone"] == CheckResult("image-monotone", False, detail)
+        assert results["left-stability"] == CheckResult("left-stability", False, detail)
+        assert results["image-monotone"].passed
 
 
 def test_verify_flags_a_wrong_rank(monkeypatch):
@@ -733,13 +739,95 @@ def test_verify_flags_an_echelon_that_drops_its_first_vector(monkeypatch):
 def test_q_relation_failures_name_the_first_triple_and_its_least_state(monkeypatch):
     # each check tests every state of a triple at once; the detail must
     # still be the first failing triple in sample order, with its least q
-    monkeypatch.setattr(sync, "multiply", lambda A, B: word_matrix.WordMatrix(
+    monkeypatch.setattr(enumeration, "multiply", lambda A, B: word_matrix.WordMatrix(
         tuple(A.rows[j] for j in B.rows)))
     results = {r.name: r for r in verify_automaton(cerny_automaton(4))}
     assert results["left-stability"].detail == (
         "((0, 0, 1), (0, 1, 1, 0, 0, 1, 0), (0, 1, 0, 0, 1, 1, 0, 1), 2)")
     assert results["reset-collapse"].detail == (
         "((1, 0, 0, 0, 1, 1, 1), (0, 0), (1, 1, 0, 0, 1, 1, 0), 1)")
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.integers(0, (1 << n) - 1))))
+def test_image_lookup_is_the_image_of_the_product(case):
+    # image-monotone reads im(M_u·M_s) as the lookup of im(M_u) in M_s's
+    # chunk tables; any row set, not only an image, maps to its image
+    u, s, rows = case
+    Mu, Ms = word_matrix.WordMatrix(tuple(u)), word_matrix.WordMatrix(tuple(s))
+    lookup = _image_lookup(Ms)
+    assert lookup(word_matrix.nonzero_columns(Mu)) == word_matrix.nonzero_columns(
+        word_matrix.multiply(Mu, Ms))
+    assert lookup(rows) == sum({1 << t for p, t in enumerate(s) if rows >> p & 1})
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(-2, 2),
+                       st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+             min_size=1, max_size=8))))
+def test_left_combination_is_the_sum_of_the_flattened_products(case):
+    t, terms = case
+    Mt = word_matrix.WordMatrix(tuple(t))
+    coeffs = [c for c, _ in terms]
+    generators = [word_matrix.WordMatrix(tuple(g)) for _, g in terms]
+    flats = [linspace.flatten(g) for g in generators]
+    assert _left_combination(Mt, coeffs, flats) == left_combination_by_products(
+        Mt, coeffs, generators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flat_tables(), st.integers(2, 9))
+def test_image_monotone_names_the_first_pair_of_the_product_loop(table, modulus):
+    # under a fault that makes some pairs fail, the lookups (s outermost)
+    # still name the first failing pair of the u-major product loop.  The
+    # fault picks pairs by a hash of (im(M_u), M_s), so it is the same
+    # fault whether the image is looked up or composed: a picked pair's
+    # image is full, the image of the identity.  Failure depends on the
+    # matrices alone, so the first failing pair over the pool's short words
+    # is also the first over the battery's deduplicated ones.
+    n, k, flat = table
+    dfa = flat_to_dfa(flat, n, k)
+    assume(sync.is_synchronizing(dfa))
+    picked = lambda m, M: hash((m, M.rows)) % modulus == 0
+    real = _image_lookup
+
+    def faulty_lookup(M):
+        lookup = real(M)
+        return lambda m: dfa.full_set if picked(m, M) else lookup(m)
+
+    def faulty_compose(A, B):
+        if picked(word_matrix.nonzero_columns(A), B):
+            return word_matrix.identity(n)
+        return word_matrix.multiply(A, B)
+
+    short = [w for w in dict.fromkeys(_word_pool(dfa)) if len(w) <= 3]
+    mat = {w: word_matrix.matrix_of_word(dfa, w) for w in short}
+    bad = image_monotone_by_products(short, mat, faulty_compose)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_image_lookup", faulty_lookup)
+        results = {r.name: r for r in verify_automaton(dfa)}
+    assert results["image-monotone"] == CheckResult(
+        "image-monotone", bad is None, f"counterexample {bad}" if bad else "")
+    assert image_monotone_by_products(short, mat) is None
+
+
+def test_verify_builds_no_subset_image_table_per_word():
+    # image-monotone looks images up in chunk tables of at most 2^ceil(n/3)
+    # entries; one table of 2^n entries per short word takes cerny:16's
+    # peak past 29 MiB
+    tracemalloc.start()
+    try:
+        results = verify_automaton(cerny_automaton(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak < 4 << 20
 
 
 def test_check_result_to_dict():

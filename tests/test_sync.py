@@ -19,8 +19,11 @@ from syncword.sync import (is_synchronizing, left_stability_check,
                            near_sync_suffixes, q_column,
                            reset_collapse_check, suffix_distinctness_check)
 
-from oracles import (brute_minimal_reset, brute_removable_split,
-                     frozenset_minimal_reset, near_sync_by_search)
+from oracles import (brute_minimal_reset, brute_removable_split, dense_columns,
+                     frozenset_minimal_reset, left_stability_by_matrices,
+                     left_stability_dense, near_sync_by_search,
+                     relation_columns, reset_collapse_by_matrices,
+                     reset_collapse_dense)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +249,14 @@ def test_q_column_is_preimage():
         q_column(M, 4)
 
 
+@pytest.mark.parametrize("q", [True, False, 1.5, 1.0, "1", None])
+def test_q_column_rejects_a_state_that_is_not_an_int(q):
+    # a bool is an int and would index a column silently, and a float or a
+    # str would end in a TypeError from the list
+    with pytest.raises(DfaError, match="out of range"):
+        q_column(matrix_of_word(cerny_automaton(4), (1,)), q)
+
+
 def test_reference_five_state_matrices():
     q = 4  # the last column
     assert q_column(PAPER_V1, q) == q_column(PAPER_V2, q)
@@ -267,11 +278,11 @@ def test_left_stability_trivial_and_exhaustive_small():
     d = kari_automaton()
     M = {w: matrix_of_word(d, w) for L in range(3)
          for w in product(range(2), repeat=L)}
-    assert left_stability_check(M[(0,)], M[(1, 0)], M[(1, 0)]) is None
+    assert left_stability_check(*relation_columns(M[(0,)], M[(1, 0)], M[(1, 0)])) is None
     for a in M:
         for u in M:
             for v in M:
-                assert left_stability_check(M[a], M[u], M[v]) is None
+                assert left_stability_check(*relation_columns(M[a], M[u], M[v])) is None
 
 
 def test_reset_collapse_nonvacuous_instance():
@@ -281,13 +292,14 @@ def test_reset_collapse_nonvacuous_instance():
     Mt = matrix_of_word(d, t)
     assert Mu != Mv and q_column(Mu, q) == q_column(Mv, q)
     assert q_column(multiply(Mt, Mv), q) == d.full_set  # premises really hold
-    assert reset_collapse_check(Mt, Mu, Mv) is None
+    assert reset_collapse_check(*relation_columns(Mt, Mu, Mv)) is None
     assert multiply(Mt, Mu) == multiply(Mt, Mv)
 
 
 def test_reset_collapse_vacuous_cases():
     d = roman_automaton()
-    assert reset_collapse_check(*(matrix_of_word(d, (c,)) for c in range(3))) is None
+    Mt, Mu, Mv = (matrix_of_word(d, (c,)) for c in range(3))
+    assert reset_collapse_check(*relation_columns(Mt, Mu, Mv)) is None
 
 
 def _reversed_composition(A, B):
@@ -295,36 +307,84 @@ def _reversed_composition(A, B):
     return WordMatrix(tuple(A.rows[j] for j in B.rows))
 
 
-def test_left_stability_fails_under_a_wrong_composition(monkeypatch):
+def _reversed_relation_columns(Ma, Mu, Mv):
+    return [dense_columns(M) for M in (Mu, Mv, _reversed_composition(Ma, Mu),
+                                       _reversed_composition(Ma, Mv))]
+
+
+def test_left_stability_fails_under_a_wrong_composition():
     d = cerny_automaton(3)
     Ma, Mu, Mv = (matrix_of_word(d, word_from_str(w)) for w in ("a", "", "b"))
     assert q_column(Mu, 2) == q_column(Mv, 2)  # the premise holds
-    assert left_stability_check(Ma, Mu, Mv) is None
-    monkeypatch.setattr(sync, "multiply", _reversed_composition)
-    assert left_stability_check(Ma, Mu, Mv) == 2
+    assert left_stability_check(*relation_columns(Ma, Mu, Mv)) is None
+    assert left_stability_check(*_reversed_relation_columns(Ma, Mu, Mv)) == 2
 
 
-def test_reset_collapse_fails_under_a_wrong_composition(monkeypatch):
+def test_reset_collapse_fails_under_a_wrong_composition():
     d = cerny_automaton(3)
     Mt, Mu, Mv = (matrix_of_word(d, word_from_str(w))
                   for w in ("a", "", "baab"))
     assert q_column(Mv, 2) & ~q_column(Mu, 2) == 0  # the premise holds
-    assert reset_collapse_check(Mt, Mu, Mv) is None
-    monkeypatch.setattr(sync, "multiply", _reversed_composition)
-    assert reset_collapse_check(Mt, Mu, Mv) == 2
+    assert reset_collapse_check(*relation_columns(Mt, Mu, Mv)) is None
+    assert reset_collapse_check(*_reversed_relation_columns(Mt, Mu, Mv)) == 2
 
 
 def test_q_relation_checks_reject_bad_q_and_sizes():
     E3, E4 = identity(3), identity(4)
     with pytest.raises(DfaError):
         q_column(E3, 3)
+    c3, c4 = dense_columns(E3), dense_columns(E4)
     for check in (left_stability_check, reset_collapse_check):
-        for sizes, listed in (((E3, E3, E4), "[3, 3, 4]"),
-                              ((E3, E4, E3), "[3, 4, 3]"),
-                              ((E4, E3, E3), "[4, 3, 3]")):
+        for sizes, listed in (((c3, c3, c3, c4), "[3, 3, 3, 4]"),
+                              ((c3, c4, c3, c3), "[3, 4, 3, 3]"),
+                              ((c4, c3, c3, c3), "[4, 3, 3, 3]")):
             with pytest.raises(DfaError) as err:
                 check(*sizes)
             assert str(err.value) == f"dimension mismatch: {listed}"
+
+
+@st.composite
+def word_triples(draw):
+    """A random table of n <= 6 states and k <= 3 letters and the matrices
+    of three words on it, of length <= 2n."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    delta = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+    d = Dfa(n, k, delta)
+    words = st.lists(st.integers(0, k - 1), max_size=2 * n)
+    return [matrix_of_word(d, draw(words)) for _ in range(3)]
+
+
+@settings(max_examples=300)
+@given(word_triples())
+def test_q_relation_checks_agree_with_the_matrix_checks_on_real_products(triple):
+    Ma, Mu, Mv = triple
+    cols = relation_columns(Ma, Mu, Mv)
+    assert left_stability_check(*cols) == left_stability_by_matrices(Ma, Mu, Mv)
+    assert reset_collapse_check(*cols) == reset_collapse_by_matrices(Ma, Mu, Mv)
+
+
+@st.composite
+def row_functional_quadruples(draw):
+    """Four row maps of one size n <= 6, the last two unrelated to the first
+    two, so that both checks can fail.  The fourth is constant (a reset)
+    half the time, and the third then often equals it, or the second
+    equals the first."""
+    n = draw(st.integers(1, 6))
+    maps = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    u = draw(maps)
+    v = draw(st.one_of(maps, st.just(u)))
+    tv = draw(st.one_of(maps, st.integers(0, n - 1).map(lambda q: [q] * n)))
+    tu = draw(st.one_of(maps, st.just(tv)))
+    return [WordMatrix(tuple(f)) for f in (u, v, tu, tv)]
+
+
+@settings(max_examples=500)
+@given(row_functional_quadruples())
+def test_q_relation_checks_match_the_dense_definitions(quad):
+    cols = [dense_columns(M) for M in quad]
+    assert left_stability_check(*cols) == left_stability_dense(*quad)
+    assert reset_collapse_check(*cols) == reset_collapse_dense(*quad)
 
 
 @settings(max_examples=200)
